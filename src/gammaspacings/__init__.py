@@ -31,6 +31,7 @@ from .gof import (
 )
 from .montecarlo import (
     ConfigMismatchError,
+    DegenerateDrawError,
     EmpiricalSample,
     SimulationConfig,
     SlippageAlternative,
@@ -98,6 +99,7 @@ __all__ = [
     "dixon_dk",
     "dixon_dk_refuted",
     "ConfigMismatchError",
+    "DegenerateDrawError",
     "SimulationConfig",
     "EmpiricalSample",
     "SlippageAlternative",

@@ -28,6 +28,8 @@ from . import __version__
 from .gamma import GammaParams, gamma_quantile
 from .gof import MonotoneCdf, histogram, ks_test
 from .montecarlo import (
+    STREAM_LAYOUT,
+    DegenerateDrawError,
     SimulationConfig,
     SlippageAlternative,
     critical_value,
@@ -47,9 +49,7 @@ from .spacings import (
     y2_cdf_exact,
     y2_pdf_exact,
 )
-from .stats import DegenerateSampleError, dixon_dk, z_k
-
-_STAT_FNS = {"zk": z_k, "dk": dixon_dk}
+from .stats import REDUCTIONS, DegenerateSampleError
 
 
 class CliError(click.ClickException):
@@ -65,6 +65,7 @@ class RunManifest:
     subcommand: str
     parameters: dict
     version: str = __version__
+    stream_layout: str = STREAM_LAYOUT
     timestamp: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat()
     )
@@ -108,7 +109,15 @@ def _comment_pairs(params):
     return [f"{key}: {value}" for key, value in params.items()]
 
 
-@click.group()
+class _Group(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (DegenerateDrawError, DegenerateSampleError, QuadratureError) as exc:
+            raise CliError(str(exc))
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="gammaspacings")
 def main():
     """Spacing laws of Gamma order statistics and discordancy tests."""
@@ -169,28 +178,25 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
 
     params = {"m": m, "n": n, "j": j, "which": which, "ymax": ymax,
               "points": points, "tol": tol, "format": fmt, "output": output}
-    try:
-        for route in routes:
-            pdf = route_pdf(route)
-            if m < 1:
-                # densities with m < 1 are unbounded at 0; start the grid
-                # half a step in
-                grid = np.linspace(0.0, ymax, points)
-                grid[0] = grid[1] / 2.0
-                values = np.asarray(pdf(grid), dtype=float)
-                err = abs(float(np.trapezoid(values, grid)) - 1.0)
-                curve = DensityCurve(grid=grid, values=values, normalization_error=err)
-            else:
-                curve = density_curve(pdf, ymax, points)
-            path = f"{output}_{route}.{fmt}"
-            meta = {**params, "curve": route}
-            if fmt == "csv":
-                curve.to_csv(path, comments=_comment_pairs(meta))
-            else:
-                curve.to_json(path, meta=meta)
-            click.echo(f"wrote {path}")
-    except QuadratureError as exc:
-        raise CliError(str(exc))
+    for route in routes:
+        pdf = route_pdf(route)
+        if m < 1:
+            # densities with m < 1 are unbounded at 0; start the grid
+            # half a step in
+            grid = np.linspace(0.0, ymax, points)
+            grid[0] = grid[1] / 2.0
+            values = np.asarray(pdf(grid), dtype=float)
+            err = abs(float(np.trapezoid(values, grid)) - 1.0)
+            curve = DensityCurve(grid=grid, values=values, normalization_error=err)
+        else:
+            curve = density_curve(pdf, ymax, points)
+        path = f"{output}_{route}.{fmt}"
+        meta = {**params, "curve": route}
+        if fmt == "csv":
+            curve.to_csv(path, comments=_comment_pairs(meta))
+        else:
+            curve.to_json(path, meta=meta)
+        click.echo(f"wrote {path}")
     _write_manifest(output, "density", params)
 
 
@@ -201,7 +207,7 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
               help="Gamma scale (spacing runs; statistics are scale-free).")
 @click.option("--j", type=int, default=None,
               help="Simulate the spacing Y_j (mutually exclusive with --stat).")
-@click.option("--stat", type=click.Choice(["zk", "dk"]), default=None,
+@click.option("--stat", type=click.Choice(list(REDUCTIONS)), default=None,
               help="Simulate a discordancy statistic (requires --k).")
 @click.option("--k", type=int, default=None, help="Number of suspected outliers.")
 @click.option("--reps", type=int, default=10000, show_default=True,
@@ -222,6 +228,8 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
         raise click.UsageError("--stat requires --k")
     if j is not None and k is not None:
         raise click.UsageError("--k applies only to --stat runs")
+    if bins is not None and bins < 1:
+        raise click.UsageError(f"--bins must be >= 1, got {bins}")
     cfg = _config(n=n, m=m, sigma=sigma, reps=reps, seed=seed, k=k)
     try:
         if j is not None:
@@ -244,8 +252,6 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
         sample.to_json(path)
     click.echo(f"wrote {path}")
     if bins is not None:
-        if bins < 1:
-            raise click.UsageError(f"--bins must be >= 1, got {bins}")
         hist = histogram(sample.values, bins)
         hist_path = f"{output}_hist.{fmt}"
         if fmt == "csv":
@@ -289,38 +295,35 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
     if n < 2 or not 2 <= j <= n:
         raise click.UsageError(f"need n >= 2 and 2 <= j <= n, got n={n}, j={j}")
     rows = []
-    try:
-        for m in shapes:
-            cfg = _config(n=n, m=m, reps=reps, seed=seed)
-            sample = simulate_spacing(cfg, j, workers=workers)
-            if n == 2 and j == 2 and float(m).is_integer() and m >= 1:
-                truth_route = "exact"
-                truth_cdf = lambda g, mi=int(m): y2_cdf_exact(mi, g)
-            else:
-                truth_route = "numeric"
-                idx = SpacingIndex.consecutive(n, j)
-                params = GammaParams(m, 1.0)
-                ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, GammaParams(m, 1.0)))
-                truth_cdf = MonotoneCdf.from_pdf(
-                    lambda g: np.array(
-                        [spacing_pdf_numeric(idx, params, float(t), 1e-7) for t in g]
-                    ),
-                    ymax,
-                    points=2049,
-                )
-            ks_truth = ks_test(sample.values, truth_cdf)
-            ks_claim = ks_test(sample.values, lambda g: claimed_cdf_yj(n, j, m, g))
-            rows.append({
-                "m": m,
-                "truth_route": truth_route,
-                "truth_d": ks_truth.statistic,
-                "truth_p": ks_truth.p_value,
-                "claimed_d": ks_claim.statistic,
-                "claimed_p": ks_claim.p_value,
-                "claimed_rejected": bool(ks_claim.p_value < alpha),
-            })
-    except QuadratureError as exc:
-        raise CliError(str(exc))
+    for m in shapes:
+        cfg = _config(n=n, m=m, reps=reps, seed=seed)
+        sample = simulate_spacing(cfg, j, workers=workers)
+        if n == 2 and j == 2 and float(m).is_integer() and m >= 1:
+            truth_route = "exact"
+            truth_cdf = lambda g, mi=int(m): y2_cdf_exact(mi, g)
+        else:
+            truth_route = "numeric"
+            idx = SpacingIndex.consecutive(n, j)
+            params = GammaParams(m, 1.0)
+            ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, GammaParams(m, 1.0)))
+            truth_cdf = MonotoneCdf.from_pdf(
+                lambda g: np.array(
+                    [spacing_pdf_numeric(idx, params, float(t), 1e-7) for t in g]
+                ),
+                ymax,
+                points=2049,
+            )
+        ks_truth = ks_test(sample.values, truth_cdf)
+        ks_claim = ks_test(sample.values, lambda g: claimed_cdf_yj(n, j, m, g))
+        rows.append({
+            "m": m,
+            "truth_route": truth_route,
+            "truth_d": ks_truth.statistic,
+            "truth_p": ks_truth.p_value,
+            "claimed_d": ks_claim.statistic,
+            "claimed_p": ks_claim.p_value,
+            "claimed_rejected": bool(ks_claim.p_value < alpha),
+        })
     click.echo(f"{'m':>8}  {'truth':>8}  {'truth_d':>10}  {'truth_p':>10}  "
                f"{'claimed_d':>10}  {'claimed_p':>10}  verdict")
     for row in rows:
@@ -343,7 +346,7 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=float, required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--stat", type=click.Choice(["zk", "dk"]), default="zk",
+@click.option("--stat", type=click.Choice(list(REDUCTIONS)), default="zk",
               show_default=True)
 @click.option("--alpha", "alpha_list", type=str, default="0.01,0.05,0.1",
               show_default=True, help="Comma-separated levels.")
@@ -388,7 +391,7 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
 @click.argument("datafile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", type=int, required=True, help="Number of suspected outliers.")
 @click.option("--m", type=float, required=True, help="Null Gamma shape.")
-@click.option("--stat", type=click.Choice(["zk", "dk"]), default="zk",
+@click.option("--stat", type=click.Choice(list(REDUCTIONS)), default="zk",
               show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--reps", type=int, default=10000, show_default=True)
@@ -400,9 +403,10 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
 def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     """Discordancy test for the k largest values of a data file.
 
-    DATAFILE holds one observation per line (blank lines and '#'
-    comments are skipped).  Exits 1 when the sample is discordant at
-    level alpha, 0 when it is not, 2 on errors.
+    DATAFILE holds one observation per line, finite and > 0 as the
+    Gamma null requires (blank lines and '#' comments are skipped).
+    Exits 1 when the sample is discordant at level alpha, 0 when it is
+    not, 2 on errors.
     """
     if not 0.0 < alpha < 1.0:
         raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
@@ -412,19 +416,22 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise CliError(f"{datafile}:{lineno}: not a number: {line!r}")
+        if not math.isfinite(value):
+            raise CliError(f"{datafile}:{lineno}: not a finite number: {line!r}")
+        if value <= 0.0:
+            raise CliError(f"{datafile}:{lineno}: {line!r} is outside the support "
+                           "x > 0 of the Gamma null")
+        values.append(value)
     if len(values) < 2:
         raise CliError(f"{datafile}: need at least 2 observations, got {len(values)}")
     n = len(values)
     if not 1 <= k <= n - 1:
         raise click.UsageError(f"--k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     cfg = _config(n=n, m=m, reps=reps, seed=seed, k=k)
-    try:
-        observed = _STAT_FNS[stat](np.array(values), k)
-    except DegenerateSampleError as exc:
-        raise CliError(str(exc))
+    observed = float(REDUCTIONS[stat](np.sort(values)[np.newaxis], k)[0])
     null = simulate_statistic(cfg, stat, workers=workers)
     crit = critical_value(null, alpha)
     pval = p_value(null, observed)
@@ -455,7 +462,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
               help="Contaminated count; must match the statistic's k.")
 @click.option("--b", "b_list", type=str, default="1,1.5,2,3", show_default=True,
               help="Comma-separated slippage factors, each >= 1.")
-@click.option("--stat", type=click.Choice(["zk", "dk"]), default="zk",
+@click.option("--stat", type=click.Choice(list(REDUCTIONS)), default="zk",
               show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--reps", type=int, default=10000, show_default=True)

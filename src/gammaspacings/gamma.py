@@ -54,9 +54,10 @@ class RngStream:
     """Addressable random stream: ``(seed, stream_index)`` -> Philox key.
 
     Two streams with the same pair produce bitwise-identical output no
-    matter when or where they are instantiated, which is what makes
-    per-replication substreams (``RngStream(seed, r)``) reproducible
-    under any execution order.
+    matter when or where they are instantiated.  The Monte Carlo engine
+    gives each block of replications its own stream
+    (``RngStream(seed, b)`` for block ``b``), which is what makes runs
+    reproducible under any execution order.
     """
 
     seed: int

@@ -14,7 +14,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
+from scipy import special
 
 __all__ = [
     "KsResult",
@@ -120,33 +120,17 @@ def ks_statistic(sample, cdf) -> float:
     return float(max(d, 0.0))
 
 
-def _kolmogorov_sf(lam: float) -> float:
-    # Q(lam) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lam^2); alternating with
-    # decreasing terms, so truncating when a term drops below 1e-12 bounds
-    # the error by that term.
-    if lam <= 0.0:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 100001):
-        term = math.exp(-2.0 * k * k * lam * lam)
-        total += sign * term
-        sign = -sign
-        if term < 1e-12:
-            break
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def ks_pvalue(statistic, sample_size) -> float:
     """Asymptotic p-value of the KS statistic.
 
-    Uses the Kolmogorov tail series at the corrected argument
+    Evaluates the Kolmogorov survival function
+    (``scipy.special.kolmogorov``) at the corrected argument
 
         lam = (sqrt(N) + 0.12 + 0.11 / sqrt(N)) * D,
 
     which keeps the asymptotic formula accurate down to moderate N.
     ``statistic == 0`` gives 1; the result lies in ``(0, 1]`` up to
-    underflow of the series itself.
+    underflow of the tail itself.
     """
     d = float(statistic)
     if not 0.0 <= d <= 1.0:
@@ -159,7 +143,7 @@ def ks_pvalue(statistic, sample_size) -> float:
         return 1.0
     sqrt_n = math.sqrt(sample_size)
     lam = (sqrt_n + 0.12 + 0.11 / sqrt_n) * d
-    return _kolmogorov_sf(lam)
+    return float(special.kolmogorov(lam))
 
 
 def ks_test(sample, cdf) -> KsResult:

@@ -1,8 +1,12 @@
 """Seeded Monte Carlo for spacing laws and discordancy statistics.
 
-Replication ``r`` always draws from the substream ``(seed, r)``, so a
-run is reproducible bit for bit regardless of execution order or the
-number of workers, and any replication can be regenerated in isolation.
+Replications are drawn in blocks of ``BLOCK``: block ``b`` holds
+replications ``[b * BLOCK, (b + 1) * BLOCK)`` and draws them, row by
+row, from the counter-based substream ``(seed, b)``.  A run is
+therefore reproducible bit for bit regardless of execution order or
+the number of workers, and any block can be regenerated in isolation.
+``STREAM_LAYOUT`` names this layout; it changes whenever the mapping
+from seed to simulated values does.
 
 Conventions: empirical critical values invert the ECDF at ``1 - alpha``
 (1-based index ``ceil((1-alpha) * R)``); p-values use add-one counting
@@ -23,10 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from .gamma import GammaParams, RngStream
-from .stats import _dk_sorted, _zk_sorted
+from .stats import REDUCTIONS
 
 __all__ = [
     "ConfigMismatchError",
+    "DegenerateDrawError",
     "SimulationConfig",
     "EmpiricalSample",
     "SlippageAlternative",
@@ -37,11 +42,19 @@ __all__ = [
     "simulate_power",
 ]
 
-_STATISTICS = {"zk": _zk_sorted, "dk": _dk_sorted}
+BLOCK = 4096
+STREAM_LAYOUT = f"philox-block-{BLOCK}/v2"
+# A row stays degenerate after r rounds with probability p**r, so only a
+# shape at which nearly every draw underflows to 0 reaches this cap.
+MAX_REDRAW_ROUNDS = 100
 
 
 class ConfigMismatchError(ValueError):
     """Simulation inputs describe incompatible configurations."""
+
+
+class DegenerateDrawError(RuntimeError):
+    """Redraws did not produce a sample with two distinct values."""
 
 
 @dataclass(frozen=True)
@@ -183,56 +196,55 @@ def _check_workers(workers) -> int:
     return int(workers)
 
 
-def _run_replications(fill, reps, workers) -> np.ndarray:
-    # fill(r) must depend only on r; then the schedule cannot matter.
-    out = np.empty(reps, dtype=float)
-    if workers == 1:
-        for r in range(reps):
-            out[r] = fill(r)
-        return out
+def _simulate(config: SimulationConfig, reduce, scale, workers) -> np.ndarray:
+    """One value per replication, in replication order.
 
-    def run_slice(lo, hi):
-        for r in range(lo, hi):
-            out[r] = fill(r)
+    Block ``b`` draws a unit-scale ``(rows, n)`` array from
+    ``RngStream(seed, b)``, multiplies column ``i`` by ``scale[i]``,
+    sorts each row, redraws degenerate rows (all values equal) from the
+    same generator in row order, and maps the block to ``reduce(xs)``.
+    A block depends only on ``(seed, b)``, so neither the worker count
+    nor the schedule can change the result.
+    """
+    n, reps = config.n, config.reps
 
-    bounds = np.linspace(0, reps, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_slice, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for fut in futures:
-            fut.result()
-    return out
+    def block(b):
+        gen = RngStream(config.seed, b).generator()
+        rows = min(BLOCK, reps - b * BLOCK)
+        xs = np.sort(gen.gamma(config.m, size=(rows, n)) * scale, axis=1)
+        bad = np.flatnonzero(xs[:, 0] == xs[:, -1])
+        for _ in range(MAX_REDRAW_ROUNDS):
+            if bad.size == 0:
+                break
+            xs[bad] = np.sort(gen.gamma(config.m, size=(bad.size, n)) * scale, axis=1)
+            bad = bad[xs[bad, 0] == xs[bad, -1]]
+        if bad.size:
+            raise DegenerateDrawError(
+                f"{bad.size} of {rows} rows in block {b} stayed degenerate after "
+                f"{MAX_REDRAW_ROUNDS} redraws: Gamma(m={config.m}) draws underflow to 0")
+        return reduce(xs)
 
-
-def _draw_nondegenerate(gen, m, sigma, n) -> np.ndarray:
-    xs = np.sort(gen.gamma(shape=m, scale=sigma, size=n))
-    while xs[0] == xs[-1]:  # degenerate draw; continue the same stream
-        xs = np.sort(gen.gamma(shape=m, scale=sigma, size=n))
-    return xs
+    with ThreadPoolExecutor(max_workers=_check_workers(workers)) as pool:
+        return np.concatenate(list(pool.map(block, range(-(-reps // BLOCK)))))
 
 
 def simulate_spacing(config: SimulationConfig, j, workers=1) -> EmpiricalSample:
     """Empirical null of the spacing ``Y_j`` under ``Gamma(m, sigma)``.
 
-    Each replication draws ``n`` variates from its own substream, sorts
-    them and records ``X_(j) - X_(j-1)``.  Returns the sorted sample.
+    Each replication sorts ``n`` draws and records ``X_(j) - X_(j-1)``.
+    Returns the sorted sample.
     """
     from .spacings import SpacingIndex
 
     idx = SpacingIndex.consecutive(config.n, j)
-    workers = _check_workers(workers)
-    m, sigma, n = config.m, config.sigma, config.n
-
-    def fill(r):
-        gen = RngStream(config.seed, r).generator()
-        xs = np.sort(gen.gamma(shape=m, scale=sigma, size=n))
-        return xs[idx.s - 1] - xs[idx.r - 1]
-
-    values = np.sort(_run_replications(fill, config.reps, workers))
-    return EmpiricalSample(values=values, config=config, statistic_name=f"y{idx.s}")
+    values = _simulate(
+        config,
+        lambda xs: xs[:, idx.s - 1] - xs[:, idx.r - 1],
+        np.full(config.n, config.sigma),
+        workers,
+    )
+    return EmpiricalSample(values=np.sort(values), config=config,
+                           statistic_name=f"y{idx.s}")
 
 
 def simulate_statistic(config: SimulationConfig, which, workers=1) -> EmpiricalSample:
@@ -241,22 +253,16 @@ def simulate_statistic(config: SimulationConfig, which, workers=1) -> EmpiricalS
     Draws are taken at unit scale (the statistics are scale invariant),
     so samples for different ``sigma`` are bitwise identical.  Requires
     ``config.k``.  Degenerate draws (all values equal) are redrawn from
-    the same substream.
+    the block's stream; ``DegenerateDrawError`` is raised when they
+    persist, which happens only at shapes whose variates underflow to 0.
     """
-    if which not in _STATISTICS:
-        raise ValueError(f"which must be one of {sorted(_STATISTICS)}, got {which!r}")
+    if which not in REDUCTIONS:
+        raise ValueError(f"which must be one of {sorted(REDUCTIONS)}, got {which!r}")
     if config.k is None:
         raise ValueError("config.k is required for statistic simulation")
-    workers = _check_workers(workers)
-    stat = _STATISTICS[which]
-    m, n, k = config.m, config.n, config.k
-
-    def fill(r):
-        gen = RngStream(config.seed, r).generator()
-        return stat(_draw_nondegenerate(gen, m, 1.0, n), k)
-
-    values = np.sort(_run_replications(fill, config.reps, workers))
-    return EmpiricalSample(values=values, config=config, statistic_name=which)
+    stat = REDUCTIONS[which]
+    values = _simulate(config, lambda xs: stat(xs, config.k), np.ones(config.n), workers)
+    return EmpiricalSample(values=np.sort(values), config=config, statistic_name=which)
 
 
 def critical_value(sample: EmpiricalSample, alpha) -> float:
@@ -316,7 +322,7 @@ def simulate_power(
         ``alternative.contaminated_count``.
     """
     which = null_sample.statistic_name
-    if which not in _STATISTICS:
+    if which not in REDUCTIONS:
         raise ConfigMismatchError(
             f"null sample records {which!r}, not a discordancy statistic"
         )
@@ -334,21 +340,9 @@ def simulate_power(
             f"(n={null_cfg.n}, m={null_cfg.m}, k={null_cfg.k}), "
             f"not (n={config.n}, m={config.m}, k={config.k})"
         )
-    workers = _check_workers(workers)
     crit = critical_value(null_sample, alpha)
-    stat = _STATISTICS[which]
-    m, n, k, b = config.m, config.n, config.k, alternative.b
-
-    def fill(r):
-        gen = RngStream(config.seed, r).generator()
-        xs = gen.gamma(shape=m, scale=1.0, size=n)
-        xs[n - k :] *= b
-        xs.sort()
-        while xs[0] == xs[-1]:
-            xs = gen.gamma(shape=m, scale=1.0, size=n)
-            xs[n - k :] *= b
-            xs.sort()
-        return stat(xs, k)
-
-    values = _run_replications(fill, config.reps, workers)
+    scale = np.ones(config.n)
+    scale[config.n - config.k :] = alternative.b
+    stat = REDUCTIONS[which]
+    values = _simulate(config, lambda xs: stat(xs, config.k), scale, workers)
     return float(np.mean(values > crit))

@@ -90,13 +90,15 @@ def spacings_from_sample(data) -> np.ndarray:
     return np.diff(_sorted_values(data))
 
 
-def _zk_sorted(xs: np.ndarray, k: int) -> float:
-    # weights n-j+1 for j = 2..n, i.e. n-1 down to 1
-    weighted = np.arange(xs.size - 1, 0, -1, dtype=float) * np.diff(xs)
-    denom = weighted.sum()
-    if denom == 0.0:
+def _zk_sorted(xs: np.ndarray, k: int) -> np.ndarray:
+    # rows of xs are sorted samples; weights n-j+1 for j = 2..n, i.e.
+    # n-1 down to 1
+    n = xs.shape[1]
+    weighted = np.arange(n - 1, 0, -1, dtype=float) * np.diff(xs, axis=1)
+    denom = weighted.sum(axis=1)
+    if np.any(denom == 0.0):
         raise DegenerateSampleError("all observations are equal; z_k is undefined")
-    return float(weighted[xs.size - 1 - k :].sum() / denom)
+    return weighted[:, n - 1 - k :].sum(axis=1) / denom
 
 
 def z_k(data, k) -> float:
@@ -108,7 +110,7 @@ def z_k(data, k) -> float:
     under rescaling of the sample.  Requires ``1 <= k <= n - 1``.
     """
     xs = _sorted_values(data)
-    return _zk_sorted(xs, _check_k(k, xs.size, xs.size - 1))
+    return float(_zk_sorted(xs[np.newaxis], _check_k(k, xs.size, xs.size - 1))[0])
 
 
 def z_k_telescoped(data, k) -> float:
@@ -132,11 +134,16 @@ def z_k_telescoped(data, k) -> float:
     return float(num / denom)
 
 
-def _dk_sorted(xs: np.ndarray, k: int) -> float:
-    rng = xs[-1] - xs[0]
-    if rng == 0.0:
+def _dk_sorted(xs: np.ndarray, k: int) -> np.ndarray:
+    rng = xs[:, -1] - xs[:, 0]
+    if np.any(rng == 0.0):
         raise DegenerateSampleError("all observations are equal; D_k is undefined")
-    return float((xs[-1] - xs[-1 - k]) / rng)
+    return (xs[:, -1] - xs[:, -1 - k]) / rng
+
+
+# Name -> row-wise reduction ``(rows, n) sorted -> (rows,)``, shared by
+# z_k, dixon_dk, the Monte Carlo engine and the CLI.
+REDUCTIONS = {"zk": _zk_sorted, "dk": _dk_sorted}
 
 
 def dixon_dk(data, k) -> float:
@@ -146,7 +153,7 @@ def dixon_dk(data, k) -> float:
     Requires ``1 <= k <= n - 1``.
     """
     xs = _sorted_values(data)
-    return _dk_sorted(xs, _check_k(k, xs.size, xs.size - 1))
+    return float(_dk_sorted(xs[np.newaxis], _check_k(k, xs.size, xs.size - 1))[0])
 
 
 def dixon_dk_refuted(data, k) -> float:

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from gammaspacings import claimed_pdf_yj
 from gammaspacings.cli import main
+from gammaspacings.montecarlo import STREAM_LAYOUT
 
 
 @pytest.fixture()
@@ -50,6 +51,7 @@ def test_density_default_writes_true_and_claimed(runner):
         assert manifest["subcommand"] == "density"
         assert manifest["parameters"]["m"] == 2.0
         assert "timestamp" in manifest and "version" in manifest
+        assert manifest["stream_layout"] == STREAM_LAYOUT
 
 
 def test_density_m1_routes_agree(runner):
@@ -139,6 +141,23 @@ def test_simulate_json_format(runner):
         assert blob["statistic"] == "y2"
         assert blob["config"]["reps"] == 50
         assert len(blob["values"]) == 50
+
+
+def test_simulate_bad_bins_writes_nothing(runner):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["simulate", "--n", "3", "--m", "1", "--j", "2",
+                                      "--reps", "10", "--seed", "0", "--bins", "0"])
+        assert result.exit_code == 2
+        assert list(Path(".").iterdir()) == []
+
+
+def test_simulate_underflowing_shape_exits_two(runner):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["simulate", "--n", "5", "--m", "1e-7", "--stat",
+                                      "zk", "--k", "1", "--reps", "100", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "degenerate" in result.output
+        assert list(Path(".").iterdir()) == []
 
 
 def test_simulate_usage_errors(runner):
@@ -236,6 +255,25 @@ def test_discordancy_test_error_paths(runner):
         Path("short.txt").write_text("1.0\n")
         result = runner.invoke(main, ["test", "short.txt", "--k", "1"] + base)
         assert result.exit_code == 2  # not enough observations
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_discordancy_test_rejects_non_finite_data(runner, bad):
+    with runner.isolated_filesystem():
+        Path("data.txt").write_text(f"1.0\n2.0\n{bad}\n3.0\n")
+        result = runner.invoke(main, ["test", "data.txt", "--k", "1", "--m", "1",
+                                      "--reps", "100", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "data.txt:3:" in result.output
+
+
+def test_discordancy_test_rejects_values_outside_gamma_support(runner):
+    with runner.isolated_filesystem():
+        Path("data.txt").write_text("1\n-2\n0\n3\n9\n")
+        result = runner.invoke(main, ["test", "data.txt", "--k", "1", "--m", "1",
+                                      "--reps", "100", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "data.txt:2:" in result.output and "x > 0" in result.output
 
 
 def test_power_sweep_null_row_near_alpha(runner):

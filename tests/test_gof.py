@@ -70,6 +70,12 @@ def test_ks_pvalue_pinned_points():
     assert ks_pvalue(5.0 / corr, n) < 1e-10
 
 
+def test_ks_pvalue_tiny_statistic_is_one():
+    # lam ~ 1e-6 needs far more series terms than a truncated sum takes
+    assert ks_pvalue(1e-6, 1) == pytest.approx(1.0, abs=1e-12)
+    assert ks_pvalue(1e-4, 10) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_ks_pvalue_monotone_in_d():
     ps = [ks_pvalue(d, 500) for d in np.linspace(0.01, 0.2, 30)]
     assert all(b <= a for a, b in zip(ps, ps[1:]))

@@ -1,11 +1,14 @@
 import json
 import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from gammaspacings import (
     ConfigMismatchError,
+    DegenerateDrawError,
     EmpiricalSample,
     SimulationConfig,
     SlippageAlternative,
@@ -17,6 +20,7 @@ from gammaspacings import (
     simulate_spacing,
     simulate_statistic,
 )
+from gammaspacings.montecarlo import BLOCK
 
 
 def toy_sample(values, reps=None, name="zk"):
@@ -136,6 +140,27 @@ def test_simulate_statistic_worker_invariant():
         simulate_statistic(cfg, "dk").values,
         simulate_statistic(cfg, "dk", workers=3).values,
     )
+
+
+def test_block_addressing_extends_without_changing_earlier_blocks():
+    # block b depends only on (seed, b), so adding a partial block keeps
+    # every value of the full blocks before it
+    for which in ("zk", "dk"):
+        small = simulate_statistic(
+            SimulationConfig(n=4, m=2.0, reps=BLOCK, seed=31, k=1), which)
+        large = simulate_statistic(
+            SimulationConfig(n=4, m=2.0, reps=BLOCK + 5, seed=31, k=1), which)
+        assert not Counter(small.values.tolist()) - Counter(large.values.tolist())
+
+
+def test_degenerate_draws_are_bounded():
+    # Gamma(1e-7) variates underflow to 0, so nearly every row is
+    # degenerate; the redraws must give up with a typed error, quickly
+    cfg = SimulationConfig(n=5, m=1e-7, reps=100, seed=1, k=1)
+    start = time.perf_counter()
+    with pytest.raises(DegenerateDrawError):
+        simulate_statistic(cfg, "zk")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_critical_value_index_convention():

@@ -12,6 +12,7 @@ from gammaspacings import (
     z_k,
     z_k_telescoped,
 )
+from gammaspacings.stats import REDUCTIONS
 
 
 def test_sample_data_validation():
@@ -149,3 +150,18 @@ def test_statistics_accept_unordered_input():
     data = [4.0, 1.0, 2.0, 10.0]
     assert dixon_dk(data, 1) == dixon_dk(sorted(data), 1)
     assert z_k(data, 2) == z_k(sorted(data, reverse=True), 2)
+
+
+def test_row_reductions_match_per_sample_statistics():
+    rng = np.random.default_rng(77)
+    for n, k in ((2, 1), (5, 2), (12, 3)):
+        xs = np.sort(rng.gamma(2.0, size=(50, n)), axis=1)
+        zk = REDUCTIONS["zk"](xs, k)
+        dk = REDUCTIONS["dk"](xs, k)
+        assert zk.shape == dk.shape == (50,)
+        for row, z, d in zip(xs, zk, dk):
+            assert z == z_k(row, k) and d == dixon_dk(row, k)
+            assert abs(z - z_k_telescoped(row, k)) < 1e-12
+            assert d == (row[-1] - row[-1 - k]) / (row[-1] - row[0])
+    with pytest.raises(DegenerateSampleError):
+        REDUCTIONS["zk"](np.array([[1.0, 2.0], [3.0, 3.0]]), 1)
