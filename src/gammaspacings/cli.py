@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .gamma import GammaParams, gamma_quantile
-from .gof import MonotoneCdf, histogram, ks_test
+from .gof import histogram, ks_test
 from .montecarlo import (
     STREAM_LAYOUT,
     DegenerateDrawError,
@@ -38,17 +38,7 @@ from .montecarlo import (
     simulate_spacing,
     simulate_statistic,
 )
-from .spacings import (
-    DensityCurve,
-    QuadratureError,
-    SpacingIndex,
-    claimed_cdf_yj,
-    claimed_pdf_yj,
-    density_curve,
-    spacing_pdf_numeric,
-    y2_cdf_exact,
-    y2_pdf_exact,
-)
+from .spacings import QuadratureError, density_curve, spacing_law
 from .stats import REDUCTIONS, DegenerateSampleError
 
 
@@ -131,8 +121,8 @@ def main():
 @click.option("--which", type=click.Choice(["exact", "claimed", "numeric", "all"]),
               default="all", show_default=True,
               help="Curve(s) to tabulate. 'all' = the true density (exact "
-                   "closed form when n=j=2 and m is an integer, quadrature "
-                   "otherwise) plus the claimed Gamma(m, 1/(n-j+1)) law.")
+                   "when n=j=2 and m is an integer >= 1, else numeric) plus "
+                   "the claimed Gamma(m, 1/(n-j+1)) law.")
 @click.option("--ymax", type=float, default=None,
               help="Grid endpoint [default: 0.9999 quantile of Gamma(m, 1)].")
 @click.option("--points", type=int, default=201, show_default=True,
@@ -145,53 +135,19 @@ def main():
               help="Output stem; one file per curve plus a manifest.")
 def density(m, n, j, which, ymax, points, tol, fmt, output):
     """Tabulate spacing density curves on a uniform grid."""
-    if m <= 0 or not math.isfinite(m):
-        raise click.UsageError(f"--m must be finite and > 0, got {m}")
-    if n < 2:
-        raise click.UsageError(f"--n must be >= 2, got {n}")
-    if not 2 <= j <= n:
-        raise click.UsageError(f"--j must satisfy 2 <= j <= n, got j={j}, n={n}")
-    if points < 2:
-        raise click.UsageError(f"--points must be >= 2, got {points}")
-    exact_ok = float(m).is_integer() and m >= 1 and n == 2 and j == 2
-    if which == "exact" and not exact_ok:
-        raise click.UsageError(
-            "--which exact needs integer m >= 1 and n = j = 2; "
-            "use --which numeric for this configuration"
-        )
-    routes = [which] if which != "all" else [("exact" if exact_ok else "numeric"), "claimed"]
-    if ymax is None:
-        ymax = math.ceil(float(gamma_quantile(0.9999, GammaParams(m, 1.0))) * 10) / 10
-    if ymax <= 0 or not math.isfinite(ymax):
-        raise click.UsageError(f"--ymax must be finite and > 0, got {ymax}")
-
-    def route_pdf(route):
-        if route == "exact":
-            return lambda g: y2_pdf_exact(int(m), g)
-        if route == "claimed":
-            return lambda g: claimed_pdf_yj(n, j, m, g)
-        idx = SpacingIndex.consecutive(n, j)
-        params = GammaParams(m, 1.0)
-        return lambda g: np.array(
-            [spacing_pdf_numeric(idx, params, float(t), tol) for t in np.atleast_1d(g)]
-        )
-
+    try:
+        laws = [spacing_law(n, j, m, route, tol)
+                for route in (["auto", "claimed"] if which == "all" else [which])]
+        if ymax is None:
+            ymax = math.ceil(float(gamma_quantile(0.9999, GammaParams(m, 1.0))) * 10) / 10
+        curves = [density_curve(law, ymax, points) for law in laws]
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     params = {"m": m, "n": n, "j": j, "which": which, "ymax": ymax,
               "points": points, "tol": tol, "format": fmt, "output": output}
-    for route in routes:
-        pdf = route_pdf(route)
-        if m < 1:
-            # densities with m < 1 are unbounded at 0; start the grid
-            # half a step in
-            grid = np.linspace(0.0, ymax, points)
-            grid[0] = grid[1] / 2.0
-            values = np.asarray(pdf(grid), dtype=float)
-            err = abs(float(np.trapezoid(values, grid)) - 1.0)
-            curve = DensityCurve(grid=grid, values=values, normalization_error=err)
-        else:
-            curve = density_curve(pdf, ymax, points)
-        path = f"{output}_{route}.{fmt}"
-        meta = {**params, "curve": route}
+    for law, curve in zip(laws, curves):
+        path = f"{output}_{law.route}.{fmt}"
+        meta = {**params, "curve": law.route}
         if fmt == "csv":
             curve.to_csv(path, comments=_comment_pairs(meta))
         else:
@@ -213,7 +169,7 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
 @click.option("--reps", type=int, default=10000, show_default=True,
               help="Monte Carlo replications.")
 @click.option("--seed", type=int, required=True, help="RNG seed (required).")
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker threads; results are identical for any count.")
 @click.option("--bins", type=int, default=None,
               help="Also write an area-normalized histogram with this many bins.")
@@ -228,20 +184,15 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
         raise click.UsageError("--stat requires --k")
     if j is not None and k is not None:
         raise click.UsageError("--k applies only to --stat runs")
+    if j is not None and not 2 <= j <= n:
+        raise click.UsageError(f"--j must satisfy 2 <= j <= n, got j={j}, n={n}")
     if bins is not None and bins < 1:
         raise click.UsageError(f"--bins must be >= 1, got {bins}")
     cfg = _config(n=n, m=m, sigma=sigma, reps=reps, seed=seed, k=k)
-    try:
-        if j is not None:
-            if not 2 <= j <= n:
-                raise click.UsageError(f"--j must satisfy 2 <= j <= n, got j={j}, n={n}")
-            sample = simulate_spacing(cfg, j, workers=workers)
-        else:
-            sample = simulate_statistic(cfg, stat, workers=workers)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, click.UsageError):
-            raise
-        raise click.UsageError(str(exc))
+    if j is not None:
+        sample = simulate_spacing(cfg, j, workers=workers)
+    else:
+        sample = simulate_statistic(cfg, stat, workers=workers)
     params = {"n": n, "m": m, "sigma": sigma, "j": j, "stat": stat, "k": k,
               "reps": reps, "seed": seed, "bins": bins, "format": fmt,
               "output": output}
@@ -278,7 +229,7 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
 @click.option("--seed", type=int, required=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True,
               help="KS rejection level.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--output", type=click.Path(), default="validate", show_default=True)
 def validate(m_list, n, j, reps, seed, alpha, workers, output):
     """KS-test simulated spacings against the true and the claimed law.
@@ -292,32 +243,18 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
     shapes = _parse_float_list(m_list, "--m")
     if not 0.0 < alpha < 1.0:
         raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
-    if n < 2 or not 2 <= j <= n:
-        raise click.UsageError(f"need n >= 2 and 2 <= j <= n, got n={n}, j={j}")
+    if not 2 <= j <= n:
+        raise click.UsageError(f"--j must satisfy 2 <= j <= n, got j={j}, n={n}")
     rows = []
     for m in shapes:
         cfg = _config(n=n, m=m, reps=reps, seed=seed)
+        truth, claim = spacing_law(n, j, m), spacing_law(n, j, m, "claimed")
         sample = simulate_spacing(cfg, j, workers=workers)
-        if n == 2 and j == 2 and float(m).is_integer() and m >= 1:
-            truth_route = "exact"
-            truth_cdf = lambda g, mi=int(m): y2_cdf_exact(mi, g)
-        else:
-            truth_route = "numeric"
-            idx = SpacingIndex.consecutive(n, j)
-            params = GammaParams(m, 1.0)
-            ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, GammaParams(m, 1.0)))
-            truth_cdf = MonotoneCdf.from_pdf(
-                lambda g: np.array(
-                    [spacing_pdf_numeric(idx, params, float(t), 1e-7) for t in g]
-                ),
-                ymax,
-                points=2049,
-            )
-        ks_truth = ks_test(sample.values, truth_cdf)
-        ks_claim = ks_test(sample.values, lambda g: claimed_cdf_yj(n, j, m, g))
+        ks_truth = ks_test(sample.values, truth.cdf)
+        ks_claim = ks_test(sample.values, claim.cdf)
         rows.append({
             "m": m,
-            "truth_route": truth_route,
+            "truth_route": truth.route,
             "truth_d": ks_truth.statistic,
             "truth_p": ks_truth.p_value,
             "claimed_d": ks_claim.statistic,
@@ -352,7 +289,7 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
               show_default=True, help="Comma-separated levels.")
 @click.option("--reps", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--output", type=click.Path(), default="critical_values",
@@ -396,7 +333,7 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--reps", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--output", type=click.Path(), default=None,
               help="Also write the JSON report (plus manifest) to this stem.")
 @click.pass_context
@@ -468,7 +405,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
 @click.option("--reps", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, required=True,
               help="Null-sample seed; sweep row i uses seed+1+i.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--output", type=click.Path(), default="power", show_default=True)

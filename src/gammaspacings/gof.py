@@ -2,9 +2,8 @@
 
 The KS test here is one-sample against a fully specified continuous
 cdf, with the asymptotic Kolmogorov p-value (small-sample correction
-folded into the argument).  ``MonotoneCdf`` turns an expensive pdf
-(e.g. the quadrature spacing density) into a fast interpolated cdf
-suitable as a KS reference.
+folded into the argument).  The reference cdf of a spacing law comes
+from ``spacings.spacing_law``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from scipy import special
 __all__ = [
     "KsResult",
     "Histogram",
-    "MonotoneCdf",
     "ecdf",
     "ks_statistic",
     "ks_pvalue",
@@ -196,43 +194,3 @@ def histogram(sample, bins, range=None) -> Histogram:
         densities = np.zeros_like(widths)
     return Histogram(bin_edges=edges, densities=densities, count=inside)
 
-
-class MonotoneCdf:
-    """Interpolated cdf built from tabulated values on a grid.
-
-    Construction from a pdf integrates with the cumulative trapezoid
-    rule, enforces monotonicity and clamps to ``[0, 1]``; evaluation is
-    linear interpolation (0 left of the grid, the final value right of
-    it).  Intended as a fast KS reference for densities that are
-    expensive pointwise.
-    """
-
-    def __init__(self, grid, values):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or grid.shape != values.shape:
-            raise ValueError("grid and values must be 1-D arrays of equal length >= 2")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        values = np.minimum(np.maximum.accumulate(np.maximum(values, 0.0)), 1.0)
-        self.grid = grid
-        self.values = values
-
-    @classmethod
-    def from_pdf(cls, pdf, y_max, points=4097) -> "MonotoneCdf":
-        """Tabulate ``pdf`` on ``points`` nodes over ``[0, y_max]`` and
-        integrate it into a cdf."""
-        from scipy.integrate import cumulative_trapezoid
-
-        grid = np.linspace(0.0, float(y_max), int(points))
-        dens = np.asarray(pdf(grid), dtype=float)
-        if dens.shape != grid.shape:
-            dens = np.array([float(pdf(v)) for v in grid])
-        cum = cumulative_trapezoid(dens, grid, initial=0.0)
-        return cls(grid, cum)
-
-    def __call__(self, x):
-        xq = np.asarray(x, dtype=float)
-        scalar = xq.ndim == 0
-        out = np.interp(np.atleast_1d(xq), self.grid, self.values, left=0.0)
-        return float(out[0]) if scalar else out

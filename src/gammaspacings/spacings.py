@@ -1,26 +1,27 @@
-"""Order-statistic spacing densities for Gamma samples.
+"""Order-statistic spacing laws for Gamma samples.
 
-Three routes to the same object, used to cross-check each other:
+``spacing_law(n, j, m)`` resolves the law of ``Y_j = X_(j) - X_(j-1)``
+to one of three routes, each with a pdf and a cdf:
 
-* ``y2_pdf_exact`` / ``y2_mixture``: closed form for the spacing of two
-  iid ``Gamma(m, 1)`` observations with integer shape ``m``, and its
-  decomposition as a finite mixture of ``Gamma(i+1, 1)`` components.
-* ``spacing_pdf_numeric``: adaptive quadrature of the general spacing
-  integrand for any ``n``, any pair of order-statistic ranks and any
-  real shape ``m > 0``.
-* ``claimed_pdf_yj``: the conjectured law ``Gamma(m, sigma/(n-j+1))``
-  for the j-th consecutive spacing.  It is exact when ``m == 1``
-  (exponential samples) and wrong otherwise; it is provided so the
-  discrepancy can be measured, not because it holds.
+* ``exact``: ``y2_pdf_exact`` / ``y2_mixture``, the closed form for two
+  observations with integer shape ``m``, a mixture of ``Gamma(i+1, 1)``.
+* ``numeric``: ``spacing_pdf_numeric`` / ``spacing_cdf_numeric``, one
+  adaptive quadrature each for any ``n``, any pair of order-statistic
+  ranks and any real shape ``m > 0``.
+* ``claimed``: ``claimed_pdf_yj``, the conjectured law
+  ``Gamma(m, sigma/(n-j+1))``.  It is exact when ``m == 1`` and wrong
+  otherwise; it is provided so the discrepancy can be measured.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
@@ -32,6 +33,8 @@ __all__ = [
     "DensityCurve",
     "MixtureDecomposition",
     "QuadratureError",
+    "SpacingLaw",
+    "spacing_law",
     "y2_pdf_exact",
     "y2_cdf_exact",
     "y2_mixture",
@@ -46,6 +49,9 @@ LN2 = math.log(2.0)
 
 # Cap on adaptive subdivisions before quadrature is declared failed.
 SUBDIVISION_LIMIT = 2**15
+
+# Interpolation nodes of the numeric route's cdf in ``spacing_law``.
+CDF_NODES = 257
 
 
 class QuadratureError(RuntimeError):
@@ -144,6 +150,19 @@ class DensityCurve:
         if path is not None:
             Path(path).write_text(text)
         return text
+
+
+@dataclass(frozen=True, eq=False)
+class SpacingLaw:
+    """Pdf and cdf of a spacing law (built by ``spacing_law``), the route
+    that computes them (``exact``, ``numeric`` or ``claimed``) and the
+    Gamma shape ``m``.  ``pdf`` and ``cdf`` take a float or a 1-D array.
+    """
+
+    route: str
+    m: float
+    pdf: Callable
+    cdf: Callable
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,47 +334,18 @@ def _quad(fn, lo, hi, tol):
     return res[0]
 
 
-def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
-    """Spacing density ``f_{X_(s)-X_(r)}(y)`` by adaptive quadrature.
-
-    Integrates
-
-        n! / ((r-1)! (s-r-1)! (n-s)!) *
-        F(x)^(r-1) f(x) [F(x+y) - F(x)]^(s-r-1) f(x+y) [1 - F(x+y)]^(n-s)
-
-    over ``x in (0, U)`` with ``U = sigma * Q(1 - 1e-14) + y``, where
-    ``f``/``F``/``Q`` are the ``Gamma(m, sigma)`` density, cdf and
-    quantile.  Works for any real shape ``m > 0`` and any rank pair.
-
-    Parameters
-    ----------
-    idx : SpacingIndex
-    params : GammaParams
-    y : float
-        Point of evaluation; the density is 0 for ``y < 0``.
-    tol : float
-        Absolute error budget for the returned value.
-
-    Raises
-    ------
-    QuadratureError
-        If the adaptive scheme cannot certify the tolerance.
-    """
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValueError(f"y must be finite, got {y!r}")
-    tol = float(tol)
-    if not 0 < tol < 1:
+def _checked(y, tol):
+    """``float(y)``; raises ValueError unless y is finite and 0 < tol < 1."""
+    if not 0 < float(tol) < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
-    if y < 0:
-        return 0.0
-    n, s, r = idx.n, idx.s, idx.r
+    if not math.isfinite(float(y)):
+        raise ValueError(f"y must be finite, got {y!r}")
+    return float(y)
+
+
+def _gamma_fns(params: GammaParams):
+    """Scalar density, cdf and survival function of ``Gamma(m, sigma)``."""
     m, sigma = params.m, params.sigma
-    coef = float(
-        math.factorial(n)
-        // (math.factorial(r - 1) * math.factorial(s - r - 1) * math.factorial(n - s))
-    )
-    a_exp, b_exp, c_exp = r - 1, s - r - 1, n - s
     lgm = math.lgamma(m)
 
     def fpdf(t):
@@ -372,8 +362,71 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     def sf(t):
         return float(special.gammaincc(m, t / sigma)) if t > 0.0 else 1.0
 
-    def integrand(x):
-        val = fpdf(x) * fpdf(x + y)
+    return fpdf, cdf, sf
+
+
+def _integrate_over_x(params: GammaParams, integrand, tol, past=0.0):
+    """``int_0^U integrand(x, f(x)) dx``, ``U = sigma Q(1 - 1e-14) + past``.
+
+    For ``m < 1`` the density ``f`` is singular at 0, so the integral runs
+    over ``u = (x/sigma)**m`` and passes the bounded weight
+    ``f(x) dx / du = exp(-x/sigma) / G(m+1)`` in place of ``f(x)``.
+    """
+    m, sigma = params.m, params.sigma
+    upper = sigma * float(gamma_quantile(1.0 - 1e-14, GammaParams(m, 1.0))) + past
+    if m >= 1.0:
+        fpdf = _gamma_fns(params)[0]
+        return _quad(lambda x: integrand(x, fpdf(x)), 0.0, upper, tol)
+    lgm1 = math.lgamma(m + 1.0)
+
+    def in_u(u):
+        t = u ** (1.0 / m)
+        return integrand(sigma * t, math.exp(-t - lgm1))
+
+    return _quad(in_u, 0.0, (upper / sigma) ** m, tol)
+
+
+def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
+    """Spacing density ``f_{X_(s)-X_(r)}(y)`` by adaptive quadrature.
+
+    Integrates
+
+        n! / ((r-1)! (s-r-1)! (n-s)!) *
+        F(x)^(r-1) f(x) [F(x+y) - F(x)]^(s-r-1) f(x+y) [1 - F(x+y)]^(n-s)
+
+    over ``x in (0, U)`` with ``U = sigma * Q(1 - 1e-14) + y``, where
+    ``f``/``F``/``Q`` are the ``Gamma(m, sigma)`` density, cdf and
+    quantile (for ``m < 1`` in the variable ``u = (x/sigma)**m``).  Works
+    for any real shape ``m > 0`` and any rank pair, except at ``y = 0``
+    for ``m <= 1/2``, where the density is infinite.
+
+    Parameters
+    ----------
+    idx : SpacingIndex
+    params : GammaParams
+    y : float
+        Point of evaluation; the density is 0 for ``y < 0``.
+    tol : float
+        Absolute error budget for the returned value.
+
+    Raises
+    ------
+    QuadratureError
+        If the adaptive scheme cannot certify the tolerance.
+    """
+    y = _checked(y, tol)
+    if y < 0:
+        return 0.0
+    n, s, r = idx.n, idx.s, idx.r
+    coef = float(
+        math.factorial(n)
+        // (math.factorial(r - 1) * math.factorial(s - r - 1) * math.factorial(n - s))
+    )
+    a_exp, b_exp, c_exp = r - 1, s - r - 1, n - s
+    fpdf, cdf, sf = _gamma_fns(params)
+
+    def integrand(x, w):
+        val = w * fpdf(x + y)
         if val == 0.0:
             return 0.0
         if a_exp:
@@ -387,40 +440,106 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
             val *= sf(x + y) ** c_exp
         return val
 
-    upper = sigma * float(gamma_quantile(1.0 - 1e-14, GammaParams(m, 1.0))) + y
-    value = coef * _quad(integrand, 0.0, upper, tol / coef)
-    return max(0.0, value)
+    return max(0.0, coef * _integrate_over_x(params, integrand, tol / coef, past=y))
 
 
 def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
-    """Spacing cdf by integrating ``spacing_pdf_numeric`` over ``[0, y]``.
+    """Spacing cdf ``P(X_(s) - X_(r) <= y)`` by one adaptive quadrature.
 
-    The pointwise density tolerance is tightened so that accumulated
-    density error plus outer quadrature error stay within ``tol``; the
-    result is clamped to ``[0, 1]``.
+    The joint density of ``(X_(r), X_(s))`` integrates over the upper
+    rank to an incomplete beta function (David & Nagaraja, *Order
+    Statistics*, 2.2).  With ``b = s-r-1``, ``c = n-s``, ``S = 1 - F``:
+
+        P(Y <= y) = n! / ((r-1)! (n-r)!) *
+            int F(x)^(r-1) f(x) S(x)^(b+c+1) I_z(b+1, c+1) dx,
+
+    ``1 - z = S(x+y) / S(x)``.  ``I_z = betaincc(c+1, b+1, S(x+y)/S(x))``
+    does not cancel at large ``x``.  ``x`` runs as in
+    ``spacing_pdf_numeric``; the result is clamped to ``[0, 1]``.
     """
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValueError(f"y must be finite, got {y!r}")
-    tol = float(tol)
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
+    y = _checked(y, tol)
     if y <= 0:
         return 0.0
-    inner_tol = tol / (20.0 * max(1.0, y))
-    value = _quad(
-        lambda t: spacing_pdf_numeric(idx, params, t, inner_tol), 0.0, y, tol / 2.0
-    )
+    n, s, r = idx.n, idx.s, idx.r
+    scale = float(math.factorial(n) // (math.factorial(r - 1) * math.factorial(n - r)))
+    _, cdf, sf = _gamma_fns(params)
+
+    def integrand(x, w):
+        sx = sf(x)
+        if sx == 0.0:
+            return 0.0
+        val = w * sx ** (n - r) * float(special.betaincc(n - s + 1, s - r, sf(x + y) / sx))
+        if r > 1:
+            val *= cdf(x) ** (r - 1)
+        return val
+
+    value = scale * _integrate_over_x(params, integrand, tol / scale)
     return min(1.0, max(0.0, value))
 
 
-def density_curve(pdf, y_max, points) -> DensityCurve:
-    """Tabulate ``pdf`` on a uniform grid ``[0, y_max]``.
+def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
+    """Law of ``Y_j = X_(j) - X_(j-1)`` for ``n`` iid ``Gamma(m, 1)`` draws.
+
+    ``route="auto"`` is ``exact`` when ``n = j = 2`` and ``m`` is an
+    integer ``>= 1``, else ``numeric``, whose quadrature tolerance is
+    ``tol`` and whose cdf, built on first call, is a monotone cubic (PCHIP)
+    through ``spacing_cdf_numeric`` at ``CDF_NODES`` nodes ``ymax t^3``
+    (``t`` uniform on [0, 1], ``ymax = 2 Q(1 - 1e-8)``), constant outside
+    ``[0, ymax]``.  Raises ValueError for an unknown route, ``exact``
+    outside its domain, bad ``n``, ``j``, ``m``, or ``tol`` not in (0, 1).
+    """
+    idx = SpacingIndex.consecutive(n, j)
+    params = GammaParams(m, 1.0)
+    m = params.m
+    _checked(0.0, tol)  # reject a bad tol before any quadrature runs
+    exact_ok = idx.n == idx.s == 2 and m.is_integer()  # m > 0, so m >= 1
+    if route == "auto":
+        route = "exact" if exact_ok else "numeric"
+    if route == "exact":
+        if not exact_ok:
+            raise ValueError("the exact route needs integer m >= 1 and n = j = 2; "
+                             "use the numeric route for this configuration")
+        return SpacingLaw(route, m, lambda y: y2_pdf_exact(m, y),
+                          lambda y: y2_cdf_exact(m, y))
+    if route == "claimed":
+        return SpacingLaw(route, m, lambda y: claimed_pdf_yj(n, j, m, y),
+                          lambda y: claimed_cdf_yj(n, j, m, y))
+    if route != "numeric":
+        raise ValueError(f"route must be auto, exact, numeric or claimed, got {route!r}")
+
+    pdf = np.vectorize(lambda t: spacing_pdf_numeric(idx, params, t, tol), otypes=[float])
+
+    @functools.cache
+    def interpolant():
+        # imported here: at module level it adds about 45 ms to every CLI start
+        from scipy.interpolate import PchipInterpolator
+
+        ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
+        nodes = ymax * np.linspace(0.0, 1.0, CDF_NODES) ** 3
+        values = [spacing_cdf_numeric(idx, params, float(t), tol) for t in nodes]
+        return ymax, PchipInterpolator(nodes, np.maximum.accumulate(values))
+
+    def cdf(y):
+        ymax, interp = interpolant()
+        arr, scalar = _as_float_array(y)
+        out = np.clip(interp(np.clip(arr, 0.0, ymax)), 0.0, 1.0)
+        # where the cdf is flat, rounding in the cubic wiggles by an ulp;
+        # a running maximum in y keeps the returned values monotone
+        order = np.argsort(arr, kind="stable")
+        out[order] = np.maximum.accumulate(out[order])
+        return _maybe_scalar(out, scalar)
+
+    return SpacingLaw(route, m, pdf, cdf)
+
+
+def density_curve(law, y_max, points) -> DensityCurve:
+    """Tabulate a density on a uniform grid ``[0, y_max]``.
 
     Parameters
     ----------
-    pdf : callable
-        Maps an ndarray of grid points to density values >= 0.
+    law : SpacingLaw or callable
+        Its ``pdf`` (or the callable itself) maps a grid to values >= 0.
+        At ``law.m < 1`` (unbounded at 0) the grid starts half a step in.
     y_max : float
         Right endpoint, > 0.
     points : int
@@ -438,8 +557,11 @@ def density_curve(pdf, y_max, points) -> DensityCurve:
         raise TypeError(f"points must be an integer, got {points!r}")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
+    is_law = isinstance(law, SpacingLaw)
     grid = np.linspace(0.0, y_max, int(points))
-    values = np.asarray(pdf(grid), dtype=float)
+    if is_law and law.m < 1:
+        grid[0] = grid[1] / 2.0
+    values = np.asarray((law.pdf if is_law else law)(grid), dtype=float)
     if values.shape != grid.shape:
         raise ValueError("pdf callable must return one value per grid point")
     err = abs(float(np.trapezoid(values, grid)) - 1.0)

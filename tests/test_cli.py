@@ -74,6 +74,29 @@ def test_density_usage_validation(runner):
     assert runner.invoke(main, ["density", "--m", "2", "--ymax", "-1"]).exit_code == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "1", "nan", "-1e-9"])
+def test_density_bad_tol_writes_nothing(runner, tol):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["density", "--m", "2.5", "--n", "3", "--j", "2",
+                                      "--which", "numeric", "--tol", tol])
+        assert result.exit_code == 2
+        assert "tol" in result.output
+        assert list(Path(".").iterdir()) == []
+
+
+def test_density_below_half_shape(runner):
+    # f_Y(0) is infinite at m <= 1/2; the grid starts half a step in
+    with runner.isolated_filesystem():
+        result = invoke(runner, ["density", "--m", "0.5", "--n", "3", "--j", "2",
+                                 "--points", "21"])
+        assert result.exit_code == 0
+        ys, fs = read_curve("density_numeric.csv")
+        y_c, _ = read_curve("density_claimed.csv")
+        assert np.array_equal(ys, y_c)
+        assert ys[0] == ys[1] / 2.0
+        assert np.all(np.isfinite(fs)) and np.all(np.diff(fs) < 0)
+
+
 def test_density_numeric_route_matches_claimed_at_m1(runner):
     with runner.isolated_filesystem():
         result = invoke(runner, [
@@ -187,6 +210,19 @@ def test_validate_rejects_claim_only_beyond_unit_shape(runner):
         assert "claim consistent" in result.output
 
 
+def test_validate_numeric_route_below_unit_shape(runner):
+    with runner.isolated_filesystem():
+        result = invoke(runner, ["validate", "--m", "0.5,0.3", "--n", "3", "--j", "2",
+                                 "--reps", "20000", "--seed", "1"])
+        assert result.exit_code == 0
+        rows = json.loads(Path("validate.json").read_text())["rows"]
+        assert [row["m"] for row in rows] == [0.5, 0.3]
+        for row in rows:
+            assert row["truth_route"] == "numeric"
+            assert row["truth_p"] >= 1e-3
+            assert row["claimed_p"] < 1e-6
+
+
 def test_validate_usage_validation(runner):
     assert runner.invoke(main, ["validate", "--m", "1,x", "--seed", "0"]).exit_code == 2
     assert runner.invoke(main, ["validate", "--alpha", "1.5", "--seed", "0"]).exit_code == 2
@@ -296,3 +332,21 @@ def test_power_rejects_contraction(runner):
     result = runner.invoke(main, ["power", "--n", "5", "--m", "1", "--k", "1",
                                   "--b", "0.5", "--seed", "1"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "3", "--m", "1", "--j", "2"],
+    ["validate", "--m", "2"],
+    ["critical-values", "--n", "5", "--m", "1", "--k", "1"],
+    ["test", "data.txt", "--k", "1", "--m", "1"],
+    ["power", "--n", "5", "--m", "1", "--k", "1"],
+], ids=lambda args: args[0])
+def test_workers_below_one_exits_two(runner, command):
+    with runner.isolated_filesystem():
+        Path("data.txt").write_text("1.1\n0.9\n1.0\n1.2\n50.0\n")
+        result = runner.invoke(main, command + ["--reps", "10", "--seed", "1",
+                                                "--workers", "0"])
+        assert result.exit_code == 2
+        assert "--workers" in result.output
+        assert "Traceback" not in result.output
+        assert sorted(p.name for p in Path(".").iterdir()) == ["data.txt"]

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from gammaspacings import (
     GammaParams,
-    MonotoneCdf,
     RngStream,
     ecdf,
     gamma_cdf,
@@ -173,22 +172,3 @@ def test_histogram_csv_format():
     lo, hi, d = lines[2].split(",")
     assert (float(lo), float(hi), float(d)) == (0.0, 1.0, 0.5)
 
-
-def test_monotone_cdf_from_pdf():
-    cdf = MonotoneCdf.from_pdf(lambda g: np.exp(-g), 25.0, points=4097)
-    assert abs(cdf(math.log(2.0)) - 0.5) < 1e-5
-    assert cdf(-1.0) == 0.0
-    assert cdf(1000.0) == cdf.values[-1]
-    xs = np.linspace(0.0, 25.0, 500)
-    out = cdf(xs)
-    assert np.all(np.diff(out) >= 0)
-    assert np.all((out >= 0) & (out <= 1))
-
-
-def test_monotone_cdf_enforces_monotonicity():
-    grid = np.array([0.0, 1.0, 2.0, 3.0])
-    values = np.array([0.0, 0.6, 0.5, 1.2])  # dips and overshoots
-    cdf = MonotoneCdf(grid, values)
-    assert list(cdf.values) == [0.0, 0.6, 0.6, 1.0]
-    with pytest.raises(ValueError):
-        MonotoneCdf(np.array([0.0, 0.0]), np.array([0.0, 1.0]))

@@ -1,8 +1,10 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -16,6 +18,7 @@ from gammaspacings import (
     density_curve,
     gamma_quantile,
     spacing_cdf_numeric,
+    spacing_law,
     spacing_pdf_numeric,
     y2_cdf_exact,
     y2_mixture,
@@ -284,3 +287,139 @@ def test_quadrature_route_agrees_with_exact_on_grid():
             [spacing_pdf_numeric(idx, GammaParams(float(m), 1.0), float(y)) for y in ys]
         )
         assert np.max(np.abs(numeric - y2_pdf_exact(m, ys))) < 1e-6, m
+
+
+def mpmath_spacing_law(idx, m, y, cdf):
+    """Density (``cdf=False``) or cdf of ``X_(s) - X_(r)`` at ``y`` for
+    unit-scale Gamma(m) samples, by 30-digit mpmath quadrature.
+
+    Independent of the package's routes: it uses mpmath's incomplete
+    gamma, and the cdf's inner integral is expanded binomially,
+    ``[S(x) - S(x+t)]^b = sum_k C(b, k) S(x)^(b-k) (-S(x+t))^k``, which
+    integrates in closed form, instead of the incomplete beta.  The outer
+    integral runs over ``u = x^m`` (``f(x) dx = exp(-x) du / G(m+1)``),
+    where mpmath stays accurate for ``m < 1``; it stops at ``x = 40``,
+    beyond which less than 1e-13 of the mass lies for these shapes.
+    """
+    with mp.workdps(30):
+        m, y = mp.mpf(m), mp.mpf(y)
+        a, b, c = idx.r - 1, idx.s - idx.r - 1, idx.n - idx.s
+        coef = mp.factorial(idx.n) / (mp.factorial(a) * mp.factorial(b) * mp.factorial(c))
+        lgm = mp.loggamma(m)
+
+        def F(x):
+            return mp.gammainc(m, 0, x, regularized=True)
+
+        def inner(x):
+            if cdf:
+                sx, sxy = 1 - F(x), 1 - F(x + y)
+                return mp.fsum(mp.binomial(b, k) * (-1) ** k * sx ** (b - k)
+                               * (sx ** (k + c + 1) - sxy ** (k + c + 1)) / (k + c + 1)
+                               for k in range(b + 1))
+            pdf_xy = mp.exp((m - 1) * mp.log(x + y) - (x + y) - lgm)
+            return (F(x + y) - F(x)) ** b * pdf_xy * (1 - F(x + y)) ** c
+
+        def integrand(u):
+            x = u ** (1 / m)
+            return F(x) ** a * mp.exp(-x - lgm) / m * inner(x)
+
+        return float(coef * mp.quad(integrand, [t ** m for t in (0, 2, 40)]))
+
+
+ORACLE_CASES = [SpacingIndex.consecutive(3, 2), SpacingIndex.consecutive(4, 3),
+                SpacingIndex(5, 4, 2)]
+
+
+@pytest.mark.parametrize("m", [0.3, 0.5, 2.5])
+@pytest.mark.parametrize("idx", ORACLE_CASES, ids=lambda i: f"n{i.n}s{i.s}r{i.r}")
+def test_numeric_routes_match_mpmath_oracle(idx, m):
+    params = GammaParams(m)
+    pdf = spacing_pdf_numeric(idx, params, 0.4)
+    cdf = spacing_cdf_numeric(idx, params, 0.4)
+    assert abs(pdf - mpmath_spacing_law(idx, m, 0.4, cdf=False)) < 1e-8
+    assert abs(cdf - mpmath_spacing_law(idx, m, 0.4, cdf=True)) < 1e-10
+
+
+def test_spacing_pdf_numeric_below_unit_shape_in_the_tail():
+    # integrated in x instead of u = x^m, this point of the density --m 0.5
+    # grid fails with "probably divergent"
+    idx, y = SpacingIndex.consecutive(3, 2), 6.9015
+    pdf = spacing_pdf_numeric(idx, GammaParams(0.5), y)
+    assert abs(pdf - mpmath_spacing_law(idx, 0.5, y, cdf=False)) < 1e-8
+
+
+@pytest.mark.parametrize("m, bound", [(0.3, 1e-3), (0.5, 1e-5), (2.5, 1e-5)])
+def test_spacing_law_cdf_interpolates_pointwise_cdf(m, bound):
+    law = spacing_law(3, 2, m)
+    assert law.route == "numeric" and law.m == m
+    idx, params = SpacingIndex.consecutive(3, 2), GammaParams(m)
+    ys = np.geomspace(1e-6, 20.0, 60)
+    pointwise = np.array([spacing_cdf_numeric(idx, params, y) for y in ys])
+    assert np.max(np.abs(law.cdf(ys) - pointwise)) < bound
+    assert law.cdf(-1.0) == 0.0
+    assert law.cdf(0.0) == 0.0
+    assert 1.0 - 1e-9 < law.cdf(1e6) <= 1.0
+
+
+def test_spacing_law_resolves_routes():
+    assert spacing_law(2, 2, 3).route == "exact"
+    assert spacing_law(2, 2, 2.5).route == "numeric"
+    assert spacing_law(3, 2, 3.0).route == "numeric"
+    assert spacing_law(3, 2, 3.0, "claimed").route == "claimed"
+    exact = spacing_law(2, 2, 3.0)
+    ys = np.linspace(0.0, 6.0, 7)
+    assert np.array_equal(exact.pdf(ys), y2_pdf_exact(3, ys))
+    assert np.array_equal(exact.cdf(ys), y2_cdf_exact(3, ys))
+    claimed = spacing_law(4, 3, 2.5, "claimed")
+    assert np.array_equal(claimed.pdf(ys), claimed_pdf_yj(4, 3, 2.5, ys))
+    assert np.array_equal(claimed.cdf(ys), claimed_cdf_yj(4, 3, 2.5, ys))
+    numeric = spacing_law(4, 3, 2.5)
+    assert numeric.pdf(1.0) == spacing_pdf_numeric(SpacingIndex(4, 3, 2), GammaParams(2.5), 1.0)
+    assert numeric.pdf(np.array([1.0])).shape == (1,)
+    for args in [(3, 2, 3.0, "exact"), (2, 2, 2.5, "exact"), (2, 2, 0.5, "exact"),
+                 (3, 2, 1.0, "exponential"), (3, 4, 1.0), (3, 2, 0.0), (3, 2, math.nan)]:
+        with pytest.raises(ValueError):
+            spacing_law(*args)
+    for tol in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            spacing_law(3, 2, 2.5, tol=tol)
+
+
+def test_density_curve_of_law_starts_half_a_step_in_below_unit_shape():
+    below = density_curve(spacing_law(3, 2, 0.7, "claimed"), 4.0, 5)
+    assert list(below.grid) == [0.5, 1.0, 2.0, 3.0, 4.0]
+    assert below.values[0] == claimed_pdf_yj(3, 2, 0.7, 0.5)
+    unit = density_curve(spacing_law(3, 2, 1.0, "claimed"), 4.0, 5)
+    assert list(unit.grid) == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+@st.composite
+def spacing_cases(draw):
+    n = draw(st.integers(2, 6))
+    r = draw(st.integers(1, n - 1))
+    s = draw(st.integers(r + 1, n))
+    return SpacingIndex(n, s, r), draw(st.floats(0.3, 10.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spacing_cases(), st.lists(st.floats(0.0, 30.0), min_size=2, max_size=6))
+def test_spacing_cdf_numeric_is_a_distribution_function(case, ys):
+    # monotone up to the absolute error budget tol of each value
+    idx, m = case
+    params = GammaParams(m)
+    values = [spacing_cdf_numeric(idx, params, y, tol=1e-9) for y in sorted(ys)]
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+    # Y <= X_(n), so P(Y <= q) >= P(X_(n) <= q) = 1 - 1e-12
+    q = float(gamma_quantile((1.0 - 1e-12) ** (1.0 / idx.n), params))
+    assert spacing_cdf_numeric(idx, params, q) >= 1.0 - 1e-6
+
+
+@settings(max_examples=4, deadline=None)
+@given(spacing_cases(), st.lists(st.floats(-1.0, 60.0), min_size=2, max_size=200))
+def test_spacing_law_cdf_is_monotone_on_arrays(case, ys):
+    # the dense grid reaches the tail, where the cdf is flat to an ulp
+    (idx, m), ys = case, np.concatenate([ys, np.linspace(-1.0, 60.0, 4001)])
+    values = spacing_law(idx.n, idx.s, m, "numeric").cdf(ys)  # the law of Y_s
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values[np.argsort(ys)]) >= 0.0)
