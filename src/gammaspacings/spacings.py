@@ -6,8 +6,8 @@ to one of three routes, each with a pdf and a cdf:
 * ``exact``: ``y2_pdf_exact`` / ``y2_mixture``, the closed form for two
   observations with integer shape ``m``, a mixture of ``Gamma(i+1, 1)``.
 * ``numeric``: ``spacing_pdf_numeric`` / ``spacing_cdf_numeric``, one
-  adaptive quadrature each for any ``n``, any pair of order-statistic
-  ranks and any real shape ``m > 0``.
+  adaptive vector quadrature each for a whole array of ``y``, for any
+  ``n``, any pair of order-statistic ranks and any real shape ``m > 0``.
 * ``claimed``: ``claimed_pdf_yj``, the conjectured law
   ``Gamma(m, sigma/(n-j+1))``.  It is exact when ``m == 1`` and wrong
   otherwise; it is provided so the discrepancy can be measured.
@@ -48,7 +48,9 @@ __all__ = [
 LN2 = math.log(2.0)
 
 # Cap on adaptive subdivisions before quadrature is declared failed.
-SUBDIVISION_LIMIT = 2**15
+# Converging grids use 2-24 intervals at tol >= 1e-11; y = 0 at
+# 0.6 <= m < 1 needs up to about 110.
+SUBDIVISION_LIMIT = 128
 
 # Interpolation nodes of the numeric route's cdf in ``spacing_law``.
 CDF_NODES = 257
@@ -195,12 +197,13 @@ class MixtureDecomposition:
         return _maybe_scalar(out, scalar)
 
     def cdf(self, y):
-        """Mixture cumulative distribution at ``y``."""
+        """Mixture cumulative distribution at ``y``, clamped to ``[0, 1]``
+        (the weighted sum of component cdfs rounds past 1 in the tail)."""
         arr, scalar = _as_float_array(y)
         out = np.zeros_like(arr)
         for w, a in zip(self.weights, self.shapes):
             out += w * gamma_cdf(arr, GammaParams(float(a), 1.0))
-        return _maybe_scalar(out, scalar)
+        return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
 
 
 def _as_shape_int(m) -> int:
@@ -322,68 +325,53 @@ def claimed_cdf_yj(n, j, m, y, sigma=1.0):
     return gamma_cdf(y, params)
 
 
-def _quad(fn, lo, hi, tol):
-    res = integrate.quad(
-        fn, lo, hi, epsabs=tol, epsrel=0.0, limit=SUBDIVISION_LIMIT, full_output=1
-    )
-    if len(res) > 3:
-        raise QuadratureError(
-            f"quadrature on [{lo:g}, {hi:g}] did not converge to {tol:g}: "
-            + " ".join(str(res[3]).split())
-        )
-    return res[0]
-
-
 def _checked(y, tol):
-    """``float(y)``; raises ValueError unless y is finite and 0 < tol < 1."""
+    """``(y as a 1-D float array, y was a scalar)``; ValueError unless
+    every entry is finite and ``0 < tol < 1``."""
     if not 0 < float(tol) < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
-    if not math.isfinite(float(y)):
-        raise ValueError(f"y must be finite, got {y!r}")
-    return float(y)
-
-
-def _gamma_fns(params: GammaParams):
-    """Scalar density, cdf and survival function of ``Gamma(m, sigma)``."""
-    m, sigma = params.m, params.sigma
-    lgm = math.lgamma(m)
-
-    def fpdf(t):
-        if t <= 0.0:
-            if t < 0.0 or m > 1.0:
-                return 0.0
-            return 1.0 / sigma if m == 1.0 else math.inf
-        u = t / sigma
-        return math.exp((m - 1.0) * math.log(u) - u - lgm) / sigma
-
-    def cdf(t):
-        return float(special.gammainc(m, t / sigma)) if t > 0.0 else 0.0
-
-    def sf(t):
-        return float(special.gammaincc(m, t / sigma)) if t > 0.0 else 1.0
-
-    return fpdf, cdf, sf
+    arr, scalar = _as_float_array(y)
+    if arr.ndim != 1:
+        raise ValueError(f"y must be a float or a 1-D array, got shape {arr.shape}")
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"y must be finite, got {bad[0]!r}")
+    return arr, scalar
 
 
 def _integrate_over_x(params: GammaParams, integrand, tol, past=0.0):
     """``int_0^U integrand(x, f(x)) dx``, ``U = sigma Q(1 - 1e-14) + past``.
 
-    For ``m < 1`` the density ``f`` is singular at 0, so the integral runs
-    over ``u = (x/sigma)**m`` and passes the bounded weight
+    ``integrand`` maps a scalar ``x`` to a vector, and the whole vector
+    is integrated on one adaptive subdivision (``quad_vec``, GK21) until
+    the error estimate of its largest entry is below ``tol``.  A stop
+    on rounding error (status 2) counts as converged if that estimate,
+    rounding included, is still within ``tol``.  For ``m < 1`` the
+    density ``f`` is singular at 0, so the integral runs over
+    ``u = (x/sigma)**m`` and passes the bounded weight
     ``f(x) dx / du = exp(-x/sigma) / G(m+1)`` in place of ``f(x)``.
     """
     m, sigma = params.m, params.sigma
     upper = sigma * float(gamma_quantile(1.0 - 1e-14, GammaParams(m, 1.0))) + past
     if m >= 1.0:
-        fpdf = _gamma_fns(params)[0]
-        return _quad(lambda x: integrand(x, fpdf(x)), 0.0, upper, tol)
-    lgm1 = math.lgamma(m + 1.0)
+        def fn(x):
+            return integrand(x, gamma_pdf(x, params))
+    else:
+        lgm1 = math.lgamma(m + 1.0)
 
-    def in_u(u):
-        t = u ** (1.0 / m)
-        return integrand(sigma * t, math.exp(-t - lgm1))
+        def fn(u):
+            t = u ** (1.0 / m)
+            return integrand(sigma * t, math.exp(-t - lgm1))
 
-    return _quad(in_u, 0.0, (upper / sigma) ** m, tol)
+        upper = (upper / sigma) ** m
+    value, err, info = integrate.quad_vec(fn, 0.0, upper, epsabs=tol, epsrel=0.0, norm="max",
+                                          limit=SUBDIVISION_LIMIT, full_output=True)
+    if info.status != 0 and not (info.status == 2 and err <= tol):
+        raise QuadratureError(
+            f"quadrature on [0, {upper:g}] did not converge to {tol:g} in "
+            f"{len(info.intervals)} intervals (limit {SUBDIVISION_LIMIT}): {info.message}"
+        )
+    return value
 
 
 def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
@@ -394,53 +382,58 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
         n! / ((r-1)! (s-r-1)! (n-s)!) *
         F(x)^(r-1) f(x) [F(x+y) - F(x)]^(s-r-1) f(x+y) [1 - F(x+y)]^(n-s)
 
-    over ``x in (0, U)`` with ``U = sigma * Q(1 - 1e-14) + y``, where
-    ``f``/``F``/``Q`` are the ``Gamma(m, sigma)`` density, cdf and
-    quantile (for ``m < 1`` in the variable ``u = (x/sigma)**m``).  Works
-    for any real shape ``m > 0`` and any rank pair, except at ``y = 0``
-    for ``m <= 1/2``, where the density is infinite.
+    over ``x in (0, U)`` with ``U = sigma * Q(1 - 1e-14) + max(y)``,
+    where ``f``/``F``/``Q`` are the ``Gamma(m, sigma)`` density, cdf and
+    quantile (for ``m < 1`` in the variable ``u = (x/sigma)**m``).  All
+    entries of ``y`` share one adaptive subdivision of that range.
+    Works for any real shape ``m > 0`` and any rank pair, except at
+    ``y = 0`` for ``m <= 1/2``, where the density is infinite; at
+    ``y = 0`` for ``1/2 < m`` below about 0.6 the singular integrand
+    needs more than ``SUBDIVISION_LIMIT`` intervals (QuadratureError).
 
     Parameters
     ----------
     idx : SpacingIndex
     params : GammaParams
-    y : float
-        Point of evaluation; the density is 0 for ``y < 0``.
+    y : float or 1-D array_like
+        Points of evaluation; the density is 0 for ``y < 0``.  A float
+        returns a float, an array an array of the same length.
     tol : float
-        Absolute error budget for the returned value.
+        Absolute error budget, a bound on the largest error over ``y``.
 
     Raises
     ------
+    ValueError
+        If an entry of ``y`` is not finite or ``tol`` is not in (0, 1).
     QuadratureError
         If the adaptive scheme cannot certify the tolerance.
     """
-    y = _checked(y, tol)
-    if y < 0:
-        return 0.0
-    n, s, r = idx.n, idx.s, idx.r
-    coef = float(
-        math.factorial(n)
-        // (math.factorial(r - 1) * math.factorial(s - r - 1) * math.factorial(n - s))
-    )
-    a_exp, b_exp, c_exp = r - 1, s - r - 1, n - s
-    fpdf, cdf, sf = _gamma_fns(params)
+    arr, scalar = _checked(y, tol)
+    out = np.zeros_like(arr)
+    live = arr >= 0
+    if np.any(live):
+        ys = arr[live]
+        n, s, r = idx.n, idx.s, idx.r
+        coef = float(math.factorial(n) // (math.factorial(r - 1) * math.factorial(s - r - 1)
+                                           * math.factorial(n - s)))
+        a_exp, b_exp, c_exp = r - 1, s - r - 1, n - s
+        m, sigma = params.m, params.sigma
 
-    def integrand(x, w):
-        val = w * fpdf(x + y)
-        if val == 0.0:
-            return 0.0
-        if a_exp:
-            val *= cdf(x) ** a_exp
-        if b_exp:
-            mid = cdf(x + y) - cdf(x)
-            if mid <= 0.0:
-                return 0.0
-            val *= mid**b_exp
-        if c_exp:
-            val *= sf(x + y) ** c_exp
-        return val
+        def integrand(x, w):
+            t = x + ys
+            val = w * gamma_pdf(t, params)
+            if a_exp:
+                val *= special.gammainc(m, x / sigma) ** a_exp
+            if b_exp:
+                mid = special.gammainc(m, t / sigma) - special.gammainc(m, x / sigma)
+                val *= np.maximum(mid, 0.0) ** b_exp
+            if c_exp:
+                val *= special.gammaincc(m, t / sigma) ** c_exp
+            return val
 
-    return max(0.0, coef * _integrate_over_x(params, integrand, tol / coef, past=y))
+        value = _integrate_over_x(params, integrand, tol / coef, past=ys.max())
+        out[live] = np.maximum(0.0, coef * value)
+    return _maybe_scalar(out, scalar)
 
 
 def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
@@ -454,27 +447,34 @@ def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
             int F(x)^(r-1) f(x) S(x)^(b+c+1) I_z(b+1, c+1) dx,
 
     ``1 - z = S(x+y) / S(x)``.  ``I_z = betaincc(c+1, b+1, S(x+y)/S(x))``
-    does not cancel at large ``x``.  ``x`` runs as in
-    ``spacing_pdf_numeric``; the result is clamped to ``[0, 1]``.
+    does not cancel at large ``x``.  ``x`` runs over ``(0, U)``,
+    ``U = sigma * Q(1 - 1e-14)``, as in ``spacing_pdf_numeric``: ``y``
+    may be a float or a 1-D array, all entries share one adaptive
+    subdivision, and ``tol`` bounds the largest error over ``y``.  The
+    result is 0 for ``y <= 0`` and clamped to ``[0, 1]``.
     """
-    y = _checked(y, tol)
-    if y <= 0:
-        return 0.0
-    n, s, r = idx.n, idx.s, idx.r
-    scale = float(math.factorial(n) // (math.factorial(r - 1) * math.factorial(n - r)))
-    _, cdf, sf = _gamma_fns(params)
+    arr, scalar = _checked(y, tol)
+    out = np.zeros_like(arr)
+    live = arr > 0
+    if np.any(live):
+        ys = arr[live]
+        n, s, r = idx.n, idx.s, idx.r
+        scale = float(math.factorial(n) // (math.factorial(r - 1) * math.factorial(n - r)))
+        m, sigma = params.m, params.sigma
 
-    def integrand(x, w):
-        sx = sf(x)
-        if sx == 0.0:
-            return 0.0
-        val = w * sx ** (n - r) * float(special.betaincc(n - s + 1, s - r, sf(x + y) / sx))
-        if r > 1:
-            val *= cdf(x) ** (r - 1)
-        return val
+        def integrand(x, w):
+            sx = special.gammaincc(m, x / sigma)
+            if sx == 0.0:
+                return np.zeros_like(ys)
+            val = w * sx ** (n - r) * special.betaincc(
+                n - s + 1, s - r, special.gammaincc(m, (x + ys) / sigma) / sx)
+            if r > 1:
+                val *= special.gammainc(m, x / sigma) ** (r - 1)
+            return val
 
-    value = scale * _integrate_over_x(params, integrand, tol / scale)
-    return min(1.0, max(0.0, value))
+        value = _integrate_over_x(params, integrand, tol / scale)
+        out[live] = np.clip(scale * value, 0.0, 1.0)
+    return _maybe_scalar(out, scalar)
 
 
 def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
@@ -507,8 +507,6 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
     if route != "numeric":
         raise ValueError(f"route must be auto, exact, numeric or claimed, got {route!r}")
 
-    pdf = np.vectorize(lambda t: spacing_pdf_numeric(idx, params, t, tol), otypes=[float])
-
     @functools.cache
     def interpolant():
         # imported here: at module level it adds about 45 ms to every CLI start
@@ -516,7 +514,7 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
 
         ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
         nodes = ymax * np.linspace(0.0, 1.0, CDF_NODES) ** 3
-        values = [spacing_cdf_numeric(idx, params, float(t), tol) for t in nodes]
+        values = spacing_cdf_numeric(idx, params, nodes, tol)
         return ymax, PchipInterpolator(nodes, np.maximum.accumulate(values))
 
     def cdf(y):
@@ -529,7 +527,7 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
         out[order] = np.maximum.accumulate(out[order])
         return _maybe_scalar(out, scalar)
 
-    return SpacingLaw(route, m, pdf, cdf)
+    return SpacingLaw(route, m, lambda y: spacing_pdf_numeric(idx, params, y, tol), cdf)
 
 
 def density_curve(law, y_max, points) -> DensityCurve:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate, special
 from scipy.integrate import quad
 
 from gammaspacings import (
@@ -17,6 +18,7 @@ from gammaspacings import (
     claimed_pdf_yj,
     density_curve,
     gamma_quantile,
+    ks_test,
     spacing_cdf_numeric,
     spacing_law,
     spacing_pdf_numeric,
@@ -129,6 +131,17 @@ def test_y2_cdf_exact_closed_forms():
     assert_allclose(y2_cdf_exact(2, ys), m2, atol=1e-14)
 
 
+@pytest.mark.parametrize("m", [3, 50])
+def test_y2_cdf_exact_stays_a_probability_in_the_far_tail(m):
+    # the weighted sum of component cdfs rounds to 1 + 2e-16 (m = 3) and
+    # 1 + 1.2e-14 (m = 50) beyond y = 42 and y = 86
+    ys = np.linspace(0.0, 200.0, 4001)
+    values = y2_cdf_exact(m, ys)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert values[-1] == 1.0
+    assert ks_test(ys, lambda g: y2_cdf_exact(m, g)).statistic > 0.0
+
+
 def test_spacing_pdf_numeric_exponential_cases():
     # n=2 spacing of two unit exponentials is Exp(1)
     idx = SpacingIndex(n=2, s=2, r=1)
@@ -191,7 +204,7 @@ def test_spacing_pdf_numeric_reports_nonconvergence():
     # at m <= 0.5 the y=0 integrand ~ x^(2m-2) is non-integrable; the
     # budgeted quadrature must fail loudly rather than return a number
     idx = SpacingIndex(n=2, s=2, r=1)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match=r"on \[0, .*\] did not converge to 5e-10"):
         spacing_pdf_numeric(idx, GammaParams(0.4, 1.0), 0.0)
 
 
@@ -346,6 +359,100 @@ def test_spacing_pdf_numeric_below_unit_shape_in_the_tail():
     idx, y = SpacingIndex.consecutive(3, 2), 6.9015
     pdf = spacing_pdf_numeric(idx, GammaParams(0.5), y)
     assert abs(pdf - mpmath_spacing_law(idx, 0.5, y, cdf=False)) < 1e-8
+
+
+def quad_spacing_law(idx, m, y, cdf):
+    """Density (``cdf=False``) or cdf of ``X_(s) - X_(r)`` at one ``y`` for
+    unit-scale Gamma(m) samples: the integrand of ``spacing_pdf_numeric``
+    or ``spacing_cdf_numeric``, integrated pointwise by scalar
+    ``scipy.integrate.quad`` over ``x`` (over ``u = x^m`` for ``m < 1``) to
+    an absolute 1e-12.
+    """
+    n, s, r = idx.n, idx.s, idx.r
+    a, b, c = r - 1, s - r - 1, n - s
+
+    def F(x):
+        return special.gammainc(m, x)
+
+    def S(x):
+        return special.gammaincc(m, x)
+
+    def f(x):
+        return math.exp((m - 1) * math.log(x) - x - math.lgamma(m))
+
+    def inner(x):
+        if cdf:
+            coef = math.factorial(n) / (math.factorial(a) * math.factorial(n - r))
+            return coef * F(x) ** a * S(x) ** (n - r) * special.betaincc(c + 1, b + 1, S(x + y) / S(x))
+        coef = math.factorial(n) / (math.factorial(a) * math.factorial(b) * math.factorial(c))
+        return coef * F(x) ** a * (F(x + y) - F(x)) ** b * f(x + y) * S(x + y) ** c
+
+    upper = float(gamma_quantile(1.0 - 1e-14, GammaParams(m))) + (0.0 if cdf else y)
+    if m >= 1:
+        value = quad(lambda x: f(x) * inner(x), 0.0, upper, epsabs=1e-12, epsrel=0.0, limit=200)
+    else:
+        def in_u(u):
+            x = u ** (1.0 / m)
+            return math.exp(-x - math.lgamma(m + 1.0)) * inner(x)
+        value = quad(in_u, 0.0, upper**m, epsabs=1e-12, epsrel=0.0, limit=200)
+    return value[0]
+
+
+ARRAY_CASES = [(SpacingIndex.consecutive(4, 3), 2.5), (SpacingIndex.consecutive(3, 2), 0.5),
+               (SpacingIndex.consecutive(5, 4), 0.3), (SpacingIndex(4, 4, 2), 2.0)]
+
+
+@pytest.mark.parametrize("idx, m", ARRAY_CASES, ids=lambda v: (
+    f"n{v.n}s{v.s}r{v.r}" if isinstance(v, SpacingIndex) else f"m{v}"))
+def test_numeric_routes_on_arrays_match_pointwise_quad(idx, m):
+    # one shared subdivision for the whole array must keep every entry
+    # within tol of its own pointwise quadrature
+    tol, params = 1e-9, GammaParams(m)
+    ys = np.array([0.01, 0.05, 0.2, 0.4, 0.8, 1.5, 3.0, 6.0, 12.0])
+    pdf = spacing_pdf_numeric(idx, params, ys, tol)
+    cdf = spacing_cdf_numeric(idx, params, ys, tol)
+    for y, p, c in zip(ys, pdf, cdf):
+        assert abs(p - quad_spacing_law(idx, m, y, cdf=False)) < tol, y
+        assert abs(c - quad_spacing_law(idx, m, y, cdf=True)) < tol, y
+
+
+def test_spacing_law_pdf_at_a_tolerance_near_rounding_level():
+    # quad_vec ends this grid on its rounding-error stop with an error
+    # estimate inside tol, which counts as converged
+    law = spacing_law(3, 2, 0.5, tol=1e-12)
+    curve = density_curve(law, 2.0 * float(gamma_quantile(1.0 - 1e-8, GammaParams(0.5))), 2001)
+    coarse = spacing_pdf_numeric(SpacingIndex.consecutive(3, 2), GammaParams(0.5), curve.grid)
+    assert np.max(np.abs(curve.values - coarse)) < 1e-9
+
+
+def test_numeric_routes_return_a_float_for_a_scalar_and_zero_below_the_support():
+    idx, params = SpacingIndex.consecutive(4, 3), GammaParams(2.5)
+    for fn in (spacing_pdf_numeric, spacing_cdf_numeric):
+        assert type(fn(idx, params, 1.0)) is float
+        assert type(fn(idx, params, -1.0)) is float
+        assert fn(idx, params, np.array([1.0])).shape == (1,)
+        assert fn(idx, params, np.array([])).shape == (0,)
+    pdf = spacing_pdf_numeric(idx, params, [-2.0, -1e-12, 0.5, -3.0])
+    assert list(pdf[[0, 1, 3]]) == [0.0, 0.0, 0.0] and pdf[2] > 0
+    cdf = spacing_cdf_numeric(idx, params, [-1.0, 0.0, 0.5])
+    assert list(cdf[:2]) == [0.0, 0.0] and 0 < cdf[2] < 1
+
+
+def test_numeric_routes_reject_bad_input_before_any_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(integrate, "quad_vec", no_quadrature)
+    idx, params = SpacingIndex.consecutive(4, 3), GammaParams(2.5)
+    for fn in (spacing_pdf_numeric, spacing_cdf_numeric):
+        for bad in ([1.0, math.nan], [math.inf, 1.0], [-math.inf], math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                fn(idx, params, bad)
+        for tol in (0.0, 1.0, -1e-9, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                fn(idx, params, [0.5, 1.0], tol)
+        with pytest.raises(ValueError, match="1-D"):
+            fn(idx, params, np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("m, bound", [(0.3, 1e-3), (0.5, 1e-5), (2.5, 1e-5)])
