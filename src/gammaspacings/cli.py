@@ -10,14 +10,15 @@ Exit status: 0 on success ("not discordant" for ``test``); 1 when
 errors.  All simulation commands require ``--seed``; data files written
 with the same parameters and seed are byte-identical (timestamps live
 only in the ``<output>.manifest.json`` sidecar).
+
+Every file, manifests included, is rendered and written by ``_write``:
+each command only assembles its comment dict, columns and JSON document.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,29 +49,39 @@ class CliError(click.ClickException):
     exit_code = 2
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Sidecar record of one CLI invocation."""
+def _write(path, fmt="json", doc=None, comments=None, columns=None):
+    """Render one output file, write it to ``path`` and echo its name.
 
-    subcommand: str
-    parameters: dict
-    version: str = __version__
-    stream_layout: str = STREAM_LAYOUT
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()
-    )
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
-
-    def write(self, path) -> None:
-        Path(path).write_text(self.to_json())
+    ``csv``: ``# key: value`` lines from ``comments``, a header of the
+    ``columns`` names, then the rows, floats as shortest round-trip
+    ``repr``.  ``json``: ``doc`` indented by 2, numpy arrays as lists.
+    A failed write raises ``CliError`` (exit 2) naming the path.
+    """
+    if fmt == "csv":
+        lines = [f"# {key}: {value}" for key, value in comments.items()]
+        lines.append(",".join(columns))
+        # Element by element: a whole-column ``tolist()`` renders no
+        # faster and adds its float objects to peak memory.
+        cells = [map(repr, map(float, col)) for col in columns.values()]
+        lines.extend(map(",".join, zip(*cells)))
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+    click.echo(f"wrote {path}")
 
 
 def _write_manifest(stem, subcommand, parameters):
-    path = f"{stem}.manifest.json"
-    RunManifest(subcommand=subcommand, parameters=parameters).write(path)
-    click.echo(f"wrote {path}")
+    _write(f"{stem}.manifest.json", doc={
+        "subcommand": subcommand,
+        "parameters": parameters,
+        "version": __version__,
+        "stream_layout": STREAM_LAYOUT,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    })
 
 
 def _parse_float_list(text, flag):
@@ -93,10 +104,6 @@ def _config(**kwargs):
         return SimulationConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(str(exc))
-
-
-def _comment_pairs(params):
-    return [f"{key}: {value}" for key, value in params.items()]
 
 
 class _Group(click.Group):
@@ -146,13 +153,11 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
     params = {"m": m, "n": n, "j": j, "which": which, "ymax": ymax,
               "points": points, "tol": tol, "format": fmt, "output": output}
     for law, curve in zip(laws, curves):
-        path = f"{output}_{law.route}.{fmt}"
         meta = {**params, "curve": law.route}
-        if fmt == "csv":
-            curve.to_csv(path, comments=_comment_pairs(meta))
-        else:
-            curve.to_json(path, meta=meta)
-        click.echo(f"wrote {path}")
+        _write(f"{output}_{law.route}.{fmt}", fmt,
+               doc={"meta": meta, "y": curve.grid, "f": curve.values,
+                    "normalization_error": curve.normalization_error},
+               comments=meta, columns={"y": curve.grid, "f": curve.values})
     _write_manifest(output, "density", params)
 
 
@@ -196,27 +201,20 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
     params = {"n": n, "m": m, "sigma": sigma, "j": j, "stat": stat, "k": k,
               "reps": reps, "seed": seed, "bins": bins, "format": fmt,
               "output": output}
-    path = f"{output}.{fmt}"
-    if fmt == "csv":
-        sample.to_csv(path)
-    else:
-        sample.to_json(path)
-    click.echo(f"wrote {path}")
+    name, config = sample.statistic_name, sample.config.as_dict()
+    _write(f"{output}.{fmt}", fmt,
+           doc={"statistic": name, "config": config, "values": sample.values},
+           comments={"statistic": name, **config}, columns={"value": sample.values})
     if bins is not None:
         hist = histogram(sample.values, bins)
-        hist_path = f"{output}_hist.{fmt}"
-        if fmt == "csv":
-            hist.to_csv(hist_path, comments=_comment_pairs(
-                {"statistic": sample.statistic_name, **{key: params[key] for key in
-                 ("n", "m", "sigma", "reps", "seed", "bins")}}))
-        else:
-            Path(hist_path).write_text(json.dumps({
-                "statistic": sample.statistic_name,
-                "bin_edges": [float(v) for v in hist.bin_edges],
-                "densities": [float(v) for v in hist.densities],
-                "count": hist.count,
-            }, indent=2) + "\n")
-        click.echo(f"wrote {hist_path}")
+        edges = hist.bin_edges
+        _write(f"{output}_hist.{fmt}", fmt,
+               doc={"statistic": name, "bin_edges": edges,
+                    "densities": hist.densities, "count": hist.count},
+               comments={"statistic": name, **{key: params[key] for key in
+                         ("n", "m", "sigma", "reps", "seed", "bins")}},
+               columns={"bin_lo": edges[:-1], "bin_hi": edges[1:],
+                        "density": hist.densities})
     _write_manifest(output, "simulate", params)
 
 
@@ -272,10 +270,8 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
         )
     params = {"m": m_list, "n": n, "j": j, "reps": reps, "seed": seed,
               "alpha": alpha, "output": output}
-    report = {"subcommand": "validate", "parameters": params, "rows": rows}
-    path = f"{output}.json"
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
-    click.echo(f"wrote {path}")
+    _write(f"{output}.json", doc={"subcommand": "validate", "parameters": params,
+                                  "rows": rows})
     _write_manifest(output, "validate", params)
 
 
@@ -302,24 +298,15 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
             raise click.UsageError(f"--alpha values must be in (0, 1), got {a}")
     cfg = _config(n=n, m=m, reps=reps, seed=seed, k=k)
     sample = simulate_statistic(cfg, stat, workers=workers)
-    rows = [(a, critical_value(sample, a)) for a in alphas]
+    crits = [critical_value(sample, a) for a in alphas]
     params = {"n": n, "m": m, "k": k, "stat": stat, "alpha": alpha_list,
               "reps": reps, "seed": seed, "format": fmt, "output": output}
-    path = f"{output}.{fmt}"
-    if fmt == "csv":
-        lines = [f"# {c}" for c in _comment_pairs(
-            {key: params[key] for key in ("stat", "n", "m", "k", "reps", "seed")})]
-        lines.append("alpha,critical_value")
-        lines.extend(f"{a!r},{v!r}" for a, v in rows)
-        Path(path).write_text("\n".join(lines) + "\n")
-    else:
-        Path(path).write_text(json.dumps({
-            "statistic": stat,
-            "config": sample.config.as_dict(),
-            "rows": [{"alpha": a, "critical_value": v} for a, v in rows],
-        }, indent=2) + "\n")
-    click.echo(f"wrote {path}")
-    for a, v in rows:
+    _write(f"{output}.{fmt}", fmt,
+           doc={"statistic": stat, "config": sample.config.as_dict(),
+                "rows": [{"alpha": a, "critical_value": v} for a, v in zip(alphas, crits)]},
+           comments={key: params[key] for key in ("stat", "n", "m", "k", "reps", "seed")},
+           columns={"alpha": alphas, "critical_value": crits})
+    for a, v in zip(alphas, crits):
         click.echo(f"alpha={a:g}  critical_value={v!r}")
     _write_manifest(output, "critical-values", params)
 
@@ -383,9 +370,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     }
     click.echo(json.dumps(report, indent=2))
     if output is not None:
-        path = f"{output}.json"
-        Path(path).write_text(json.dumps(report, indent=2) + "\n")
-        click.echo(f"wrote {path}")
+        _write(f"{output}.json", doc=report)
         _write_manifest(output, "test", {**report["config"], "alpha": alpha,
                                          "datafile": str(datafile),
                                          "output": output})
@@ -413,37 +398,28 @@ def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
     """Estimate rejection rates under scale slippage of the top k values."""
     bs = _parse_float_list(b_list, "--b")
     for b in bs:
-        if b < 1.0:
-            raise click.UsageError(f"--b values must be >= 1, got {b}")
+        if not (math.isfinite(b) and b >= 1.0):
+            raise click.UsageError(f"--b values must be finite and >= 1, got {b}")
     if not 0.0 < alpha < 1.0:
         raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
     null_cfg = _config(n=n, m=m, reps=reps, seed=seed, k=k)
     null = simulate_statistic(null_cfg, stat, workers=workers)
-    rows = []
+    powers = []
     for i, b in enumerate(bs):
         alt_seed = (seed + 1 + i) % 2**64
         alt_cfg = _config(n=n, m=m, reps=reps, seed=alt_seed, k=k)
-        est = simulate_power(alt_cfg, SlippageAlternative(b, k), alpha, null,
-                             workers=workers)
-        se = math.sqrt(est * (1.0 - est) / reps)
-        rows.append((b, est, se))
+        powers.append(simulate_power(alt_cfg, SlippageAlternative(b, k), alpha, null,
+                                     workers=workers))
+    ses = [math.sqrt(p * (1.0 - p) / reps) for p in powers]
     params = {"n": n, "m": m, "k": k, "b": b_list, "stat": stat, "alpha": alpha,
               "reps": reps, "seed": seed, "format": fmt, "output": output}
-    path = f"{output}.{fmt}"
-    if fmt == "csv":
-        lines = [f"# {c}" for c in _comment_pairs(
-            {key: params[key] for key in ("stat", "n", "m", "k", "alpha", "reps", "seed")})]
-        lines.append("b,power,se")
-        lines.extend(f"{b!r},{p!r},{s!r}" for b, p, s in rows)
-        Path(path).write_text("\n".join(lines) + "\n")
-    else:
-        Path(path).write_text(json.dumps({
-            "statistic": stat,
-            "config": null.config.as_dict(),
-            "alpha": alpha,
-            "rows": [{"b": b, "power": p, "se": s} for b, p, s in rows],
-        }, indent=2) + "\n")
-    click.echo(f"wrote {path}")
+    rows = list(zip(bs, powers, ses))
+    _write(f"{output}.{fmt}", fmt,
+           doc={"statistic": stat, "config": null.config.as_dict(), "alpha": alpha,
+                "rows": [{"b": b, "power": p, "se": s} for b, p, s in rows]},
+           comments={key: params[key] for key in ("stat", "n", "m", "k", "alpha",
+                                                   "reps", "seed")},
+           columns={"b": bs, "power": powers, "se": ses})
     for b, p, s in rows:
         click.echo(f"b={b:g}  power={p:.4f}  se={s:.4f}")
     _write_manifest(output, "power", params)

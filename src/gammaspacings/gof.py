@@ -56,21 +56,6 @@ class Histogram:
         object.__setattr__(self, "densities", dens)
         object.__setattr__(self, "count", int(self.count))
 
-    def to_csv(self, path=None, comments=()) -> str:
-        """CSV with columns ``bin_lo,bin_hi,density``."""
-        from pathlib import Path
-
-        lines = [f"# {c}" for c in comments]
-        lines.append("bin_lo,bin_hi,density")
-        lines.extend(
-            f"{float(lo)!r},{float(hi)!r},{float(d)!r}"
-            for lo, hi, d in zip(self.bin_edges[:-1], self.bin_edges[1:], self.densities)
-        )
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
-
 
 def _sorted_sample(sample) -> np.ndarray:
     arr = np.asarray(sample, dtype=float)

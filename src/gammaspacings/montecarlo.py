@@ -13,16 +13,17 @@ Conventions: empirical critical values invert the ECDF at ``1 - alpha``
 ``(1 + #{values >= observed}) / (1 + R)`` so they are never zero.
 Statistic nulls are simulated at unit scale: both statistics are scale
 invariant, which is what makes the stored ``sigma`` metadata only.
+
+An ``EmpiricalSample`` holds the sorted values and their config; the
+CLI's one writer renders it as CSV or JSON.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -130,39 +131,6 @@ class EmpiricalSample:
         if self.sorted and np.any(np.diff(values) < 0):
             raise ValueError("values flagged sorted but are not")
         object.__setattr__(self, "values", values)
-
-    def _comment_lines(self):
-        cfg = self.config
-        return [
-            f"statistic: {self.statistic_name}",
-            f"n: {cfg.n}",
-            f"m: {float(cfg.m)!r}",
-            f"sigma: {float(cfg.sigma)!r}",
-            f"reps: {cfg.reps}",
-            f"seed: {cfg.seed}",
-            f"k: {cfg.k}",
-        ]
-
-    def to_csv(self, path=None, comments=()) -> str:
-        """One ``value`` column; config as ``#`` comments above the
-        header.  Byte-stable for a fixed config and seed."""
-        lines = [f"# {c}" for c in (*self._comment_lines(), *comments)]
-        lines.append("value")
-        lines.extend(f"{float(v)!r}" for v in self.values)
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
-
-    def to_json(self, path=None, meta=None) -> str:
-        obj = {"statistic": self.statistic_name, "config": self.config.as_dict()}
-        if meta is not None:
-            obj["meta"] = meta
-        obj["values"] = [float(v) for v in self.values]
-        text = json.dumps(obj, indent=2) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
 
 
 @dataclass(frozen=True)

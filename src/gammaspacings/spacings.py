@@ -11,16 +11,17 @@ to one of three routes, each with a pdf and a cdf:
 * ``claimed``: ``claimed_pdf_yj``, the conjectured law
   ``Gamma(m, sigma/(n-j+1))``.  It is exact when ``m == 1`` and wrong
   otherwise; it is provided so the discrepancy can be measured.
+
+``density_curve`` tabulates a law as a ``DensityCurve``, which holds
+arrays only: the CLI's one writer renders it as CSV or JSON.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -121,37 +122,6 @@ class DensityCurve:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "normalization_error", float(self.normalization_error))
-
-    def to_csv(self, path=None, comments=()) -> str:
-        """Render as CSV (``y,f``), optionally writing ``path``.
-
-        ``comments`` become ``#``-prefixed lines above the header.
-        Floats use shortest round-trip repr, so output is byte-stable.
-        """
-        lines = [f"# {c}" for c in comments]
-        lines.append("y,f")
-        lines.extend(f"{float(g)!r},{float(v)!r}" for g, v in zip(self.grid, self.values))
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
-
-    def to_json(self, path=None, meta=None) -> str:
-        """Render as JSON, optionally writing ``path``.
-
-        Keys: ``y``, ``f``, ``normalization_error`` and, when ``meta``
-        is given, a leading ``meta`` object.
-        """
-        obj = {}
-        if meta is not None:
-            obj["meta"] = meta
-        obj["y"] = [float(g) for g in self.grid]
-        obj["f"] = [float(v) for v in self.values]
-        obj["normalization_error"] = self.normalization_error
-        text = json.dumps(obj, indent=2) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -5,9 +6,23 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gammaspacings import claimed_pdf_yj
+from gammaspacings import (
+    SimulationConfig,
+    SlippageAlternative,
+    claimed_pdf_yj,
+    critical_value,
+    density_curve,
+    histogram,
+    ks_test,
+    p_value,
+    simulate_power,
+    simulate_spacing,
+    simulate_statistic,
+    spacing_law,
+)
 from gammaspacings.cli import main
 from gammaspacings.montecarlo import STREAM_LAYOUT
+from gammaspacings.stats import REDUCTIONS
 
 
 @pytest.fixture()
@@ -329,9 +344,25 @@ def test_power_sweep_null_row_near_alpha(runner):
 
 
 def test_power_rejects_contraction(runner):
-    result = runner.invoke(main, ["power", "--n", "5", "--m", "1", "--k", "1",
-                                  "--b", "0.5", "--seed", "1"])
-    assert result.exit_code == 2
+    with runner.isolated_filesystem():
+        for b in ["0.5", "nan", "inf", "1,-inf"]:
+            result = runner.invoke(main, ["power", "--n", "5", "--m", "1", "--k", "1",
+                                          "--b", b, "--seed", "1"])
+            assert result.exit_code == 2, b
+            assert "--b values must be finite and >= 1" in result.output
+            assert list(Path(".").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["density", "--m", "2"],
+    ["test", "data.txt", "--k", "1", "--m", "1", "--reps", "100", "--seed", "1"],
+], ids=lambda args: args[0])
+def test_write_failure_exits_two(runner, command):
+    with runner.isolated_filesystem():
+        Path("data.txt").write_text("1.1\n0.9\n1.0\n1.2\n50.0\n")
+        result = runner.invoke(main, command + ["--output", "nodir/x"])
+        assert result.exit_code == 2
+        assert "cannot write nodir/x" in result.output
 
 
 @pytest.mark.parametrize("command", [
@@ -350,3 +381,184 @@ def test_workers_below_one_exits_two(runner, command):
         assert "--workers" in result.output
         assert "Traceback" not in result.output
         assert sorted(p.name for p in Path(".").iterdir()) == ["data.txt"]
+
+
+# Each ``_<command>_expected(fmt)`` recomputes a run in process and returns
+# its manifest parameters and ``{file name: (comments, columns, json doc)}``.
+def _stream_config(n, m, reps, seed, k=None, sigma=1.0):
+    return {"n": n, "m": m, "sigma": sigma, "reps": reps, "seed": seed, "k": k}
+
+
+def _density_expected(fmt):
+    params = {"m": 2.5, "n": 3, "j": 2, "which": "all", "ymax": 4.0, "points": 5,
+              "tol": 1e-9, "format": fmt, "output": "density"}
+    files = {}
+    for route in ("auto", "claimed"):
+        law = spacing_law(3, 2, 2.5, route)
+        curve = density_curve(law, 4.0, 5)
+        meta = {**params, "curve": law.route}
+        files[f"density_{law.route}.{fmt}"] = (
+            meta, {"y": curve.grid, "f": curve.values},
+            {"meta": meta, "y": curve.grid, "f": curve.values,
+             "normalization_error": curve.normalization_error})
+    return params, files
+
+
+def _simulate_expected(fmt, j):
+    if j is None:
+        cfg = SimulationConfig(n=5, m=1.5, reps=60, seed=3, k=2)
+        sample = simulate_statistic(cfg, "dk")
+    else:
+        cfg = SimulationConfig(n=4, m=0.7, reps=60, seed=6, sigma=2.0)
+        sample = simulate_spacing(cfg, j)
+    hist = histogram(sample.values, 4)
+    config = _stream_config(cfg.n, cfg.m, cfg.reps, cfg.seed, cfg.k, cfg.sigma)
+    params = {"n": cfg.n, "m": cfg.m, "sigma": cfg.sigma, "j": j,
+              "stat": None if j else "dk", "k": cfg.k, "reps": 60, "seed": cfg.seed,
+              "bins": 4, "format": fmt, "output": "simulate"}
+    name = sample.statistic_name
+    hist_meta = {"statistic": name, "n": cfg.n, "m": cfg.m, "sigma": cfg.sigma,
+                 "reps": 60, "seed": cfg.seed, "bins": 4}
+    return params, {
+        f"simulate.{fmt}": (
+            {"statistic": name, **config}, {"value": sample.values},
+            {"statistic": name, "config": config, "values": sample.values}),
+        f"simulate_hist.{fmt}": (
+            hist_meta, {"bin_lo": hist.bin_edges[:-1], "bin_hi": hist.bin_edges[1:],
+                        "density": hist.densities},
+            {"statistic": name, "bin_edges": hist.bin_edges,
+             "densities": hist.densities, "count": 60}),
+    }
+
+
+def _validate_expected(fmt):
+    rows = []
+    for m in (1.0, 2.5):
+        sample = simulate_spacing(SimulationConfig(n=3, m=m, reps=300, seed=2), 3)
+        truth, claim = spacing_law(3, 3, m), spacing_law(3, 3, m, "claimed")
+        ks_truth, ks_claim = ks_test(sample.values, truth.cdf), ks_test(sample.values, claim.cdf)
+        rows.append({"m": m, "truth_route": truth.route, "truth_d": ks_truth.statistic,
+                     "truth_p": ks_truth.p_value, "claimed_d": ks_claim.statistic,
+                     "claimed_p": ks_claim.p_value,
+                     "claimed_rejected": bool(ks_claim.p_value < 0.05)})
+    params = {"m": "1,2.5", "n": 3, "j": 3, "reps": 300, "seed": 2, "alpha": 0.05,
+              "output": "validate"}
+    return params, {"validate.json": (
+        None, None, {"subcommand": "validate", "parameters": params, "rows": rows})}
+
+
+def _critical_values_expected(fmt):
+    sample = simulate_statistic(SimulationConfig(n=6, m=2.0, reps=300, seed=3, k=2), "zk")
+    alphas = [0.01, 0.05, 0.1]
+    crits = [critical_value(sample, a) for a in alphas]
+    params = {"n": 6, "m": 2.0, "k": 2, "stat": "zk", "alpha": "0.01,0.05,0.1",
+              "reps": 300, "seed": 3, "format": fmt, "output": "critical_values"}
+    return params, {f"critical_values.{fmt}": (
+        {"stat": "zk", "n": 6, "m": 2.0, "k": 2, "reps": 300, "seed": 3},
+        {"alpha": alphas, "critical_value": crits},
+        {"statistic": "zk", "config": _stream_config(6, 2.0, 300, 3, 2),
+         "rows": [{"alpha": a, "critical_value": c} for a, c in zip(alphas, crits)]})}
+
+
+def _power_expected(fmt):
+    null = simulate_statistic(SimulationConfig(n=6, m=2.0, reps=300, seed=4, k=1), "zk")
+    bs, powers = [1.0, 3.0], []
+    for i, b in enumerate(bs):
+        cfg = SimulationConfig(n=6, m=2.0, reps=300, seed=5 + i, k=1)
+        powers.append(simulate_power(cfg, SlippageAlternative(b, 1), 0.05, null))
+    ses = [(p * (1.0 - p) / 300) ** 0.5 for p in powers]
+    params = {"n": 6, "m": 2.0, "k": 1, "b": "1,3", "stat": "zk", "alpha": 0.05,
+              "reps": 300, "seed": 4, "format": fmt, "output": "power"}
+    return params, {f"power.{fmt}": (
+        {"stat": "zk", "n": 6, "m": 2.0, "k": 1, "alpha": 0.05, "reps": 300, "seed": 4},
+        {"b": bs, "power": powers, "se": ses},
+        {"statistic": "zk", "config": _stream_config(6, 2.0, 300, 4, 1), "alpha": 0.05,
+         "rows": [{"b": b, "power": p, "se": s} for b, p, s in zip(bs, powers, ses)]})}
+
+
+def _test_expected(fmt):
+    values = [1.1, 0.9, 1.0, 1.2, 50.0]
+    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=300, seed=7, k=1), "zk")
+    observed = float(REDUCTIONS["zk"](np.sort(values)[np.newaxis], 1)[0])
+    crit = critical_value(null, 0.05)
+    config = {"stat": "zk", "n": 5, "m": 1.0, "k": 1, "reps": 300, "seed": 7}
+    report = {"statistic": observed, "p_value": p_value(null, observed),
+              "critical_value": crit, "alpha": 0.05,
+              "decision": "discordant" if observed > crit else "not discordant",
+              "config": config}
+    params = {**config, "alpha": 0.05, "datafile": "data.txt", "output": "report"}
+    return params, {"report.json": (None, None, report)}
+
+
+_BOTH_FORMATS = [
+    ("density", ["density", "--m", "2.5", "--n", "3", "--j", "2", "--ymax", "4",
+                 "--points", "5"], _density_expected),
+    ("simulate-stat", ["simulate", "--n", "5", "--m", "1.5", "--stat", "dk", "--k", "2",
+                       "--reps", "60", "--seed", "3", "--bins", "4"],
+     functools.partial(_simulate_expected, j=None)),
+    ("simulate-spacing", ["simulate", "--n", "4", "--m", "0.7", "--j", "3", "--sigma", "2",
+                          "--reps", "60", "--seed", "6", "--bins", "4"],
+     functools.partial(_simulate_expected, j=3)),
+    ("critical-values", ["critical-values", "--n", "6", "--m", "2", "--k", "2",
+                         "--reps", "300", "--seed", "3"], _critical_values_expected),
+    ("power", ["power", "--n", "6", "--m", "2", "--k", "1", "--b", "1,3",
+               "--reps", "300", "--seed", "4"], _power_expected),
+]
+FORMAT_CASES = [
+    pytest.param(args + ["--format", fmt], fmt, expected, id=f"{name}-{fmt}")
+    for name, args, expected in _BOTH_FORMATS for fmt in ("csv", "json")
+] + [
+    pytest.param(["validate", "--m", "1,2.5", "--n", "3", "--j", "3", "--reps", "300",
+                  "--seed", "2"], "json", _validate_expected, id="validate-json"),
+    pytest.param(["test", "data.txt", "--k", "1", "--m", "1", "--reps", "300",
+                  "--seed", "7", "--output", "report"], "json", _test_expected,
+                 id="test-json"),
+]
+
+
+def _exact(value):
+    """``value`` with arrays as lists, as parsed JSON holds them."""
+    if isinstance(value, dict):
+        return {key: _exact(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize("args, fmt, expected", FORMAT_CASES)
+def test_output_files_pin_format_and_round_trip(runner, args, fmt, expected):
+    """Every file a command writes, in each ``--format``: the exact
+    comment lines and CSV header, the JSON key order, and the values
+    round-tripped exactly against the same computation in process."""
+    command = args[0]
+    params, files = expected(fmt)
+    with runner.isolated_filesystem():
+        Path("data.txt").write_text("1.1\n0.9\n1.0\n1.2\n50.0\n")
+        result = runner.invoke(main, args)
+        assert result.exit_code == (1 if command == "test" else 0), result.output
+        stem = params["output"]
+        written = sorted(files) + [f"{stem}.manifest.json"]
+        assert sorted(p.name for p in Path(".").iterdir()) == sorted(written + ["data.txt"])
+        for name, (comments, columns, doc) in files.items():
+            text = Path(name).read_text()
+            assert text.endswith("\n") and not text.endswith("\n\n")
+            if name.endswith(".csv"):
+                lines = text.splitlines()
+                head = [f"# {key}: {value}" for key, value in comments.items()]
+                assert lines[:len(head) + 1] == head + [",".join(columns)]
+                body = [ln.split(",") for ln in lines[len(head) + 1:]]
+                for i, values in enumerate(columns.values()):
+                    assert [float(row[i]) for row in body] == np.asarray(values).tolist()
+            else:
+                blob = json.loads(text)
+                assert list(blob) == list(doc)
+                assert blob == _exact(doc)
+        manifest = json.loads(Path(f"{stem}.manifest.json").read_text())
+        assert list(manifest) == ["subcommand", "parameters", "version",
+                                  "stream_layout", "timestamp"]
+        assert manifest["subcommand"] == command
+        assert manifest["parameters"] == params
+        assert manifest["stream_layout"] == STREAM_LAYOUT
+        if command == "test":
+            assert result.output == Path("report.json").read_text() + "".join(
+                f"wrote {name}\n" for name in written)

@@ -162,13 +162,3 @@ def test_histogram_validation():
         histogram([1.0], 3, range=(2.0, 2.0))
     with pytest.raises(ValueError):
         histogram([1.0, np.nan], 3)
-
-
-def test_histogram_csv_format():
-    h = histogram([0.5, 1.5], 2, range=(0.0, 2.0))
-    lines = h.to_csv(comments=("bins: 2",)).strip().split("\n")
-    assert lines[0] == "# bins: 2"
-    assert lines[1] == "bin_lo,bin_hi,density"
-    lo, hi, d = lines[2].split(",")
-    assert (float(lo), float(hi), float(d)) == (0.0, 1.0, 0.5)
-

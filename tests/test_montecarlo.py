@@ -1,4 +1,3 @@
-import json
 import math
 import time
 from collections import Counter
@@ -275,27 +274,3 @@ def test_simulate_power_worker_invariant():
     assert simulate_power(cfg, alt, 0.05, null) == simulate_power(
         cfg, alt, 0.05, null, workers=4
     )
-
-
-def test_empirical_sample_csv_roundtrip_stability():
-    cfg = SimulationConfig(n=3, m=2.0, reps=50, seed=9, k=1)
-    sample = simulate_statistic(cfg, "zk")
-    text = sample.to_csv()
-    again = simulate_statistic(cfg, "zk").to_csv()
-    assert text == again
-    lines = text.strip().split("\n")
-    assert lines[0] == "# statistic: zk"
-    header_at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    assert lines[header_at] == "value"
-    parsed = np.array([float(v) for v in lines[header_at + 1 :]])
-    assert np.array_equal(parsed, sample.values)
-
-
-def test_empirical_sample_json_structure():
-    cfg = SimulationConfig(n=2, m=1.0, reps=5, seed=4)
-    sample = simulate_spacing(cfg, 2)
-    blob = json.loads(sample.to_json())
-    assert blob["statistic"] == "y2"
-    assert blob["config"] == {"n": 2, "m": 1.0, "sigma": 1.0, "reps": 5,
-                              "seed": 4, "k": None}
-    assert len(blob["values"]) == 5

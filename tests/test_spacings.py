@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath as mp
@@ -273,21 +272,6 @@ def test_density_curve_type_invariants():
     with pytest.raises(ValueError):
         DensityCurve(grid=np.array([0.0]), values=np.array([1.0]),
                      normalization_error=0.0)
-
-
-def test_density_curve_serialization():
-    curve = density_curve(lambda g: y2_pdf_exact(2, g), 4.0, 5)
-    text = curve.to_csv(comments=("m: 2",))
-    lines = text.strip().split("\n")
-    assert lines[0] == "# m: 2"
-    assert lines[1] == "y,f"
-    assert len(lines) == 7
-    y0, f0 = lines[2].split(",")
-    assert float(y0) == 0.0 and float(f0) == 0.5
-    blob = json.loads(curve.to_json(meta={"m": 2}))
-    assert blob["meta"] == {"m": 2}
-    assert blob["y"][0] == 0.0 and blob["f"][0] == 0.5
-    assert blob["normalization_error"] == curve.normalization_error
 
 
 def test_quadrature_route_agrees_with_exact_on_grid():
