@@ -31,6 +31,7 @@ from .gof import histogram, ks_test
 from .montecarlo import (
     STREAM_LAYOUT,
     DegenerateDrawError,
+    NonFiniteDrawError,
     SimulationConfig,
     SlippageAlternative,
     critical_value,
@@ -99,6 +100,14 @@ def _parse_float_list(text, flag):
     return out
 
 
+def _check_stat_k(k, n):
+    """Statistic runs need ``1 <= k <= n-2``: at ``k = n-1`` both z_k and
+    d_k are identically 1, so the test could never reject."""
+    if not 1 <= k <= n - 2:
+        raise click.UsageError(f"--k must satisfy 1 <= k <= n-2 = {n - 2} for a statistic "
+                               f"run (at k = n-1 the statistic is identically 1), got {k}")
+
+
 def _config(**kwargs):
     try:
         return SimulationConfig(**kwargs)
@@ -110,7 +119,8 @@ class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (DegenerateDrawError, DegenerateSampleError, QuadratureError) as exc:
+        except (DegenerateDrawError, DegenerateSampleError, NonFiniteDrawError,
+                QuadratureError) as exc:
             raise CliError(str(exc))
 
 
@@ -193,6 +203,8 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
         raise click.UsageError(f"--j must satisfy 2 <= j <= n, got j={j}, n={n}")
     if bins is not None and bins < 1:
         raise click.UsageError(f"--bins must be >= 1, got {bins}")
+    if stat is not None:
+        _check_stat_k(k, n)
     cfg = _config(n=n, m=m, sigma=sigma, reps=reps, seed=seed, k=k)
     if j is not None:
         sample = simulate_spacing(cfg, j, workers=workers)
@@ -296,6 +308,7 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise click.UsageError(f"--alpha values must be in (0, 1), got {a}")
+    _check_stat_k(k, n)
     cfg = _config(n=n, m=m, reps=reps, seed=seed, k=k)
     sample = simulate_statistic(cfg, stat, workers=workers)
     crits = [critical_value(sample, a) for a in alphas]
@@ -352,8 +365,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     if len(values) < 2:
         raise CliError(f"{datafile}: need at least 2 observations, got {len(values)}")
     n = len(values)
-    if not 1 <= k <= n - 1:
-        raise click.UsageError(f"--k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
+    _check_stat_k(k, n)
     cfg = _config(n=n, m=m, reps=reps, seed=seed, k=k)
     observed = float(REDUCTIONS[stat](np.sort(values)[np.newaxis], k)[0])
     null = simulate_statistic(cfg, stat, workers=workers)
@@ -402,6 +414,7 @@ def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
             raise click.UsageError(f"--b values must be finite and >= 1, got {b}")
     if not 0.0 < alpha < 1.0:
         raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
+    _check_stat_k(k, n)
     null_cfg = _config(n=n, m=m, reps=reps, seed=seed, k=k)
     null = simulate_statistic(null_cfg, stat, workers=workers)
     powers = []

@@ -33,6 +33,7 @@ from .stats import REDUCTIONS
 __all__ = [
     "ConfigMismatchError",
     "DegenerateDrawError",
+    "NonFiniteDrawError",
     "SimulationConfig",
     "EmpiricalSample",
     "SlippageAlternative",
@@ -46,7 +47,9 @@ __all__ = [
 BLOCK = 4096
 STREAM_LAYOUT = f"philox-block-{BLOCK}/v2"
 # A row stays degenerate after r rounds with probability p**r, so only a
-# shape at which nearly every draw underflows to 0 reaches this cap.
+# shape at which nearly every row's draws come out equal reaches this
+# cap: tiny m, where they underflow to 0, or huge m, where their spread
+# is below one ulp.
 MAX_REDRAW_ROUNDS = 100
 
 
@@ -56,6 +59,10 @@ class ConfigMismatchError(ValueError):
 
 class DegenerateDrawError(RuntimeError):
     """Redraws did not produce a sample with two distinct values."""
+
+
+class NonFiniteDrawError(RuntimeError):
+    """A scaled draw overflowed to a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -171,25 +178,36 @@ def _simulate(config: SimulationConfig, reduce, scale, workers) -> np.ndarray:
     ``RngStream(seed, b)``, multiplies column ``i`` by ``scale[i]``,
     sorts each row, redraws degenerate rows (all values equal) from the
     same generator in row order, and maps the block to ``reduce(xs)``.
+    A scaled draw that overflows raises ``NonFiniteDrawError``.
     A block depends only on ``(seed, b)``, so neither the worker count
     nor the schedule can change the result.
     """
     n, reps = config.n, config.reps
 
+    def draw(gen, rows):
+        with np.errstate(over="ignore"):
+            xs = np.sort(gen.gamma(config.m, size=(rows, n)) * scale, axis=1)
+        if not np.isfinite(xs[:, -1]).all():  # a row's inf or nan sorts last
+            raise NonFiniteDrawError(
+                f"Gamma(m={config.m}) draws times the scale (largest "
+                f"{scale.max():g}) overflow to inf; use a smaller scale")
+        return xs
+
     def block(b):
         gen = RngStream(config.seed, b).generator()
         rows = min(BLOCK, reps - b * BLOCK)
-        xs = np.sort(gen.gamma(config.m, size=(rows, n)) * scale, axis=1)
+        xs = draw(gen, rows)
         bad = np.flatnonzero(xs[:, 0] == xs[:, -1])
         for _ in range(MAX_REDRAW_ROUNDS):
             if bad.size == 0:
                 break
-            xs[bad] = np.sort(gen.gamma(config.m, size=(bad.size, n)) * scale, axis=1)
+            xs[bad] = draw(gen, bad.size)
             bad = bad[xs[bad, 0] == xs[bad, -1]]
         if bad.size:
             raise DegenerateDrawError(
                 f"{bad.size} of {rows} rows in block {b} stayed degenerate after "
-                f"{MAX_REDRAW_ROUNDS} redraws: Gamma(m={config.m}) draws underflow to 0")
+                f"{MAX_REDRAW_ROUNDS} redraws: all {n} Gamma(m={config.m}) draws of "
+                "each came out equal")
         return reduce(xs)
 
     with ThreadPoolExecutor(max_workers=_check_workers(workers)) as pool:
@@ -222,7 +240,9 @@ def simulate_statistic(config: SimulationConfig, which, workers=1) -> EmpiricalS
     so samples for different ``sigma`` are bitwise identical.  Requires
     ``config.k``.  Degenerate draws (all values equal) are redrawn from
     the block's stream; ``DegenerateDrawError`` is raised when they
-    persist, which happens only at shapes whose variates underflow to 0.
+    persist, which happens only at shapes where nearly all n variates
+    come out equal (underflow to 0 at tiny m, spread below one ulp at
+    huge m).
     """
     if which not in REDUCTIONS:
         raise ValueError(f"which must be one of {sorted(REDUCTIONS)}, got {which!r}")

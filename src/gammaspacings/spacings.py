@@ -8,6 +8,9 @@ to one of three routes, each with a pdf and a cdf:
 * ``numeric``: ``spacing_pdf_numeric`` / ``spacing_cdf_numeric``, one
   adaptive vector quadrature each for a whole array of ``y``, for any
   ``n``, any pair of order-statistic ranks and any real shape ``m > 0``.
+  The quadrature (a globally adaptive Gauss-Kronrod 21 rule) and the
+  cdf's monotone cubic interpolant are small numpy functions here, so
+  ``scipy.special`` is the only scipy module the package imports.
 * ``claimed``: ``claimed_pdf_yj``, the conjectured law
   ``Gamma(m, sigma/(n-j+1))``.  It is exact when ``m == 1`` and wrong
   otherwise; it is provided so the discrepancy can be measured.
@@ -19,13 +22,14 @@ arrays only: the CLI's one writer renders it as CSV or JSON.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .gamma import GammaParams, gamma_cdf, gamma_pdf, gamma_quantile, _as_float_array, _maybe_scalar
 
@@ -55,6 +59,22 @@ SUBDIVISION_LIMIT = 128
 
 # Interpolation nodes of the numeric route's cdf in ``spacing_law``.
 CDF_NODES = 257
+
+# QUADPACK's qk21 on [-1, 1]: the Kronrod nodes from 1 down to 0 (the rest
+# mirror them), their weights, and the Gauss weights of the odd nodes.
+_XK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+       0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+       0.2943928627014602, 0.14887433898163122, 0.0)
+_WK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+       0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+       0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+       0.29552422471475287)
+_GK21_X = np.array(_XK + tuple(-x for x in _XK[-2::-1]))
+_GK21_WK, _GK21_WG = np.array(_WK + _WK[-2::-1]), np.array(_WG + _WG[::-1])
+_STOPS = ("", "Target precision not reached.",
+          "Target precision could not be reached due to rounding error.",
+          "Non-finite values encountered.")
 
 
 class QuadratureError(RuntimeError):
@@ -309,17 +329,82 @@ def _checked(y, tol):
     return arr, scalar
 
 
+def _gk21(fn, a, b):
+    """QUADPACK's ``qk21`` on every interval ``[a[i], b[i]]``, with one call
+    of ``fn`` on all their nodes (one row of values per node).
+
+    Returns the integrals ``(len(a), cols)`` and, per interval, the
+    max-norm error estimate ``dabs min(1, (200 err / dabs)^1.5)``, at
+    least the rounding estimate ``50 eps h int |f|``, and that rounding
+    estimate.  The sums run node by node in ``quad_vec``'s order.
+    """
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    f = fn((c + h * _GK21_X[:, None]).ravel()).reshape(21, a.size, -1)
+    s_k = s_abs = s_g = s_dabs = 0.0
+    for v, fi in zip(_GK21_WK, f):
+        s_k, s_abs = s_k + v * fi, s_abs + v * abs(fi)
+    for w, fi in zip(_GK21_WG, f[1::2]):
+        s_g = s_g + w * fi
+    for v, fi in zip(_GK21_WK, f):
+        s_dabs = s_dabs + v * abs(fi - s_k / 2.0)
+    h = h[:, None]
+    err = np.max(abs((s_k - s_g) * h), axis=1)
+    dabs = np.max(abs(s_dabs * h), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = dabs * np.minimum(1.0, (200 * err / dabs) ** 1.5)
+    err = np.where((dabs != 0) & (err != 0), scaled, err)
+    rounding = np.max(abs(50 * np.finfo(float).eps * h * s_abs), axis=1)
+    err = np.where(rounding > np.finfo(float).tiny, np.maximum(err, rounding), err)
+    return h * s_k, err, rounding
+
+
+def _adaptive_gk21(fn, a, b, tol):
+    """Globally adaptive GK21 of a vector integrand over ``[a, b]``.
+
+    ``scipy.integrate.quad_vec``'s rules (``norm="max"``, ``epsrel=0``),
+    so the same intervals come out.  Each round bisects the intervals of
+    largest error until their error sum exceeds ``global_err - tol/8``,
+    with one ``fn`` call for all their nodes.  Returns ``(integral,
+    global_err + rounding, status, intervals)``; status 0 is converged
+    (``global_err < tol/8``), 2 a stop on ``global_err`` below the summed
+    rounding estimate, 3 a non-finite estimate and 1 ``SUBDIVISION_LIMIT``.
+    """
+    ig, err, rnd = _gk21(fn, np.array([a]), np.array([b]))
+    total, total_err, rounding, parts = ig[0], err[0], rnd[0], [ig[0]]
+    heap, status = [(-err[0], a, b, 0)], 1
+    while status == 1 and len(heap) < SUBDIVISION_LIMIT:
+        todo, err_sum = [], 0.0
+        while heap and len(todo) < 128 and not (todo and err_sum > total_err - tol / 8):
+            todo.append(heapq.heappop(heap))
+            err_sum -= todo[-1][0]
+        neg_err, lo, hi, old = zip(*todo)
+        lo, hi, k = np.array(lo), np.array(hi), len(todo)
+        ends = np.concatenate([lo, 0.5 * (lo + hi), hi])
+        ig, err, rnd = _gk21(fn, ends[:-k], ends[k:])
+        for i in range(k):
+            total = total + (ig[i] + ig[k + i] - parts[old[i]])
+            total_err += err[i] + err[k + i] + neg_err[i]
+            rounding += rnd[i] + rnd[k + i]
+        for q in range(2 * k):
+            heapq.heappush(heap, (-err[q], ends[q], ends[q + k], len(parts)))
+            parts.append(ig[q])
+        status = (0 if total_err < tol / 8 else 2 if total_err < rounding
+                  else 1 if np.isfinite(total_err) and np.isfinite(rounding) else 3)
+    return total, total_err + rounding, status, len(heap)
+
+
 def _integrate_over_x(params: GammaParams, integrand, tol, past=0.0):
     """``int_0^U integrand(x, f(x)) dx``, ``U = sigma Q(1 - 1e-14) + past``.
 
-    ``integrand`` maps a scalar ``x`` to a vector, and the whole vector
-    is integrated on one adaptive subdivision (``quad_vec``, GK21) until
-    the error estimate of its largest entry is below ``tol``.  A stop
-    on rounding error (status 2) counts as converged if that estimate,
-    rounding included, is still within ``tol``.  For ``m < 1`` the
-    density ``f`` is singular at 0, so the integral runs over
-    ``u = (x/sigma)**m`` and passes the bounded weight
-    ``f(x) dx / du = exp(-x/sigma) / G(m+1)`` in place of ``f(x)``.
+    ``integrand`` maps a 1-D array of ``x`` and the matching weights to
+    one row of values per ``x``; all columns are integrated on one
+    adaptive GK21 subdivision (``_adaptive_gk21``) until the error
+    estimate of the largest entry is below ``tol / 8``.  A stop on
+    rounding error counts as converged if that estimate, rounding
+    included, is still within ``tol``.  For ``m < 1`` the density ``f``
+    is singular at 0, so the integral runs over ``u = (x/sigma)**m`` and
+    passes the bounded weight ``f(x) dx / du = exp(-x/sigma) / G(m+1)``
+    in place of ``f(x)``.
     """
     m, sigma = params.m, params.sigma
     upper = sigma * float(gamma_quantile(1.0 - 1e-14, GammaParams(m, 1.0))) + past
@@ -331,15 +416,14 @@ def _integrate_over_x(params: GammaParams, integrand, tol, past=0.0):
 
         def fn(u):
             t = u ** (1.0 / m)
-            return integrand(sigma * t, math.exp(-t - lgm1))
+            return integrand(sigma * t, np.exp(-t - lgm1))
 
         upper = (upper / sigma) ** m
-    value, err, info = integrate.quad_vec(fn, 0.0, upper, epsabs=tol, epsrel=0.0, norm="max",
-                                          limit=SUBDIVISION_LIMIT, full_output=True)
-    if info.status != 0 and not (info.status == 2 and err <= tol):
+    value, err, status, intervals = _adaptive_gk21(fn, 0.0, upper, tol)
+    if status != 0 and not (status == 2 and err <= tol):
         raise QuadratureError(
             f"quadrature on [0, {upper:g}] did not converge to {tol:g} in "
-            f"{len(info.intervals)} intervals (limit {SUBDIVISION_LIMIT}): {info.message}"
+            f"{intervals} intervals (limit {SUBDIVISION_LIMIT}): {_STOPS[status]}"
         )
     return value
 
@@ -390,8 +474,9 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
         m, sigma = params.m, params.sigma
 
         def integrand(x, w):
+            x = x[:, None]
             t = x + ys
-            val = w * gamma_pdf(t, params)
+            val = w[:, None] * gamma_pdf(t, params)
             if a_exp:
                 val *= special.gammainc(m, x / sigma) ** a_exp
             if b_exp:
@@ -433,11 +518,11 @@ def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
         m, sigma = params.m, params.sigma
 
         def integrand(x, w):
+            x = x[:, None]
             sx = special.gammaincc(m, x / sigma)
-            if sx == 0.0:
-                return np.zeros_like(ys)
-            val = w * sx ** (n - r) * special.betaincc(
-                n - s + 1, s - r, special.gammaincc(m, (x + ys) / sigma) / sx)
+            # a row where S(x) underflows to 0 is 0 through sx ** (n - r)
+            ratio = special.gammaincc(m, (x + ys) / sigma) / np.where(sx > 0.0, sx, 1.0)
+            val = w[:, None] * sx ** (n - r) * special.betaincc(n - s + 1, s - r, ratio)
             if r > 1:
                 val *= special.gammainc(m, x / sigma) ** (r - 1)
             return val
@@ -447,14 +532,50 @@ def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     return _maybe_scalar(out, scalar)
 
 
+def _monotone_cubic(x, y):
+    """Monotone piecewise cubic Hermite interpolant through ``(x, y)``.
+
+    Interior slopes are Fritsch & Butland's weighted harmonic means of
+    the neighbouring secants, 0 where a secant is 0 or the secants change
+    sign; end slopes are the shape-preserving three-point estimates.
+    These are the slopes of scipy's ``PchipInterpolator``.  The returned
+    function takes points in ``[x[0], x[-1]]``; needs ``len(x) >= 3``.
+    """
+    h, d = np.diff(x), np.diff(y) / np.diff(x)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(d[1:]) != np.sign(d[:-1])) | (d[1:] == 0) | (d[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / d[:-1] + w2 / d[1:]) / (w1 + w2))
+
+    def end(h0, h1, m0, m1):
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            return 0.0
+        return 3.0 * m0 if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0) else e
+
+    slope = np.concatenate([[end(h[0], h[1], d[0], d[1])], np.where(flat, 0.0, inner),
+                            [end(h[-1], h[-2], d[-1], d[-2])]])
+    t = (slope[:-1] + slope[1:] - 2 * d) / h
+    a2, a3 = (d - slope[:-1]) / h - t, t / h  # coefficients of s^2 and s^3
+
+    def evaluate(v):
+        i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, x.size - 2)
+        s = v - x[i]
+        s2 = s * s
+        return y[i] + slope[i] * s + a2[i] * s2 + a3[i] * (s2 * s)
+
+    return evaluate
+
+
 def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
     """Law of ``Y_j = X_(j) - X_(j-1)`` for ``n`` iid ``Gamma(m, 1)`` draws.
 
     ``route="auto"`` is ``exact`` when ``n = j = 2`` and ``m`` is an
     integer ``>= 1``, else ``numeric``, whose quadrature tolerance is
-    ``tol`` and whose cdf, built on first call, is a monotone cubic (PCHIP)
-    through ``spacing_cdf_numeric`` at ``CDF_NODES`` nodes ``ymax t^3``
-    (``t`` uniform on [0, 1], ``ymax = 2 Q(1 - 1e-8)``), constant outside
+    ``tol`` and whose cdf, built on first call, is a monotone cubic
+    (``_monotone_cubic``) through ``spacing_cdf_numeric`` at ``CDF_NODES``
+    nodes ``ymax t^3`` (``t`` uniform on [0, 1], ``ymax = 2 Q(1 - 1e-8)``),
+    constant outside
     ``[0, ymax]``.  Raises ValueError for an unknown route, ``exact``
     outside its domain, bad ``n``, ``j``, ``m``, or ``tol`` not in (0, 1).
     """
@@ -479,13 +600,10 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
 
     @functools.cache
     def interpolant():
-        # imported here: at module level it adds about 45 ms to every CLI start
-        from scipy.interpolate import PchipInterpolator
-
         ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
         nodes = ymax * np.linspace(0.0, 1.0, CDF_NODES) ** 3
         values = spacing_cdf_numeric(idx, params, nodes, tol)
-        return ymax, PchipInterpolator(nodes, np.maximum.accumulate(values))
+        return ymax, _monotone_cubic(nodes, np.maximum.accumulate(values))
 
     def cdf(y):
         ymax, interp = interpolant()

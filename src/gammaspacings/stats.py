@@ -90,9 +90,24 @@ def spacings_from_sample(data) -> np.ndarray:
     return np.diff(_sorted_values(data))
 
 
+def _in_range(xs: np.ndarray) -> np.ndarray:
+    """``xs`` with every row whose largest magnitude exceeds
+    ``finfo.max / n^2`` divided by a power of two, so that weighted
+    spacing sums cannot overflow; the ratio statistics are scale-free
+    and other rows are returned untouched."""
+    n = xs.shape[1]
+    peak = np.maximum(abs(xs[:, 0]), abs(xs[:, -1]))
+    big = peak > np.finfo(float).max / n**2
+    if np.any(big):
+        xs = xs.copy()
+        xs[big] = np.ldexp(xs[big], -np.frexp(peak[big])[1][:, None])
+    return xs
+
+
 def _zk_sorted(xs: np.ndarray, k: int) -> np.ndarray:
     # rows of xs are sorted samples; weights n-j+1 for j = 2..n, i.e.
     # n-1 down to 1
+    xs = _in_range(xs)
     n = xs.shape[1]
     weighted = np.arange(n - 1, 0, -1, dtype=float) * np.diff(xs, axis=1)
     denom = weighted.sum(axis=1)
@@ -107,7 +122,8 @@ def z_k(data, k) -> float:
         z_k = sum_{j=n-k+1}^{n} (n-j+1) Y_j / sum_{j=2}^{n} (n-j+1) Y_j
 
     Lies in ``[0, 1]``; equals 1 exactly when ``k = n - 1``; invariant
-    under rescaling of the sample.  Requires ``1 <= k <= n - 1``.
+    under rescaling of the sample (rows near overflow are rescaled by a
+    power of two first).  Requires ``1 <= k <= n - 1``.
     """
     xs = _sorted_values(data)
     return float(_zk_sorted(xs[np.newaxis], _check_k(k, xs.size, xs.size - 1))[0])
@@ -124,7 +140,7 @@ def z_k_telescoped(data, k) -> float:
 
     Agrees with ``z_k`` up to floating-point roundoff.
     """
-    xs = _sorted_values(data)
+    xs = _in_range(_sorted_values(data)[np.newaxis])[0]
     n = xs.size
     k = _check_k(k, n, n - 1)
     denom = xs.sum() - n * xs[0]

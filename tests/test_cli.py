@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +201,73 @@ def test_simulate_underflowing_shape_exits_two(runner):
         assert list(Path(".").iterdir()) == []
 
 
+def test_simulate_huge_shape_names_equal_draws(runner):
+    # at huge m the n draws of a row agree to the last ulp; they do not
+    # underflow
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["simulate", "--n", "5", "--m", "1e300", "--stat",
+                                      "zk", "--k", "1", "--reps", "10", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "degenerate" in result.output and "came out equal" in result.output
+        assert "underflow" not in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "2", "--m", "2", "--j", "2", "--sigma", "1e308"],
+    ["power", "--n", "5", "--m", "50", "--k", "1", "--b", "1e307"],
+], ids=lambda args: args[0])
+def test_overflowing_draws_exit_two(runner, command):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, command + ["--reps", "10", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "overflow to inf" in result.output
+        assert "Traceback" not in result.output
+        assert list(Path(".").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "4", "--m", "1", "--stat", "zk", "--k", "3"],
+    ["simulate", "--n", "2", "--m", "1", "--stat", "dk", "--k", "1"],
+    ["critical-values", "--n", "4", "--m", "1", "--k", "3"],
+    ["test", "data.txt", "--k", "3", "--m", "1"],
+    ["power", "--n", "4", "--m", "1", "--k", "3", "--b", "1,2"],
+], ids=["simulate", "simulate-n2", "critical-values", "test", "power"])
+def test_statistic_runs_reject_k_of_n_minus_one(runner, command):
+    # at k = n-1 both statistics are identically 1: no run can reject
+    with runner.isolated_filesystem():
+        Path("data.txt").write_text("1.0\n2.0\n3.0\n9.0\n")
+        result = runner.invoke(main, command + ["--reps", "10", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "k <= n-2" in result.output
+        assert sorted(p.name for p in Path(".").iterdir()) == ["data.txt"]
+
+
+def test_commands_import_no_scipy_beyond_special(tmp_path):
+    # scipy.special is the only scipy module the package imports:
+    # integrate and interpolate (and the optimize, linalg and sparse
+    # modules they pull in) stay unloaded through numeric runs too
+    script = """
+import json, sys
+import gammaspacings.cli as cli
+for args in (["density", "--m", "2.5", "--n", "4", "--j", "3", "--which", "numeric"],
+             ["validate", "--m", "2.5", "--n", "4", "--j", "3", "--reps", "2000",
+              "--seed", "1"]):
+    cli.main.main(args=args, standalone_mode=False)
+banned = ("integrate", "interpolate", "optimize", "linalg", "sparse")
+print(json.dumps([name for name in sys.modules if name.startswith("scipy.")
+                  and name.split(".")[1] in banned]))
+print("scipy.special" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    *_, loaded, special = done.stdout.splitlines()
+    assert json.loads(loaded) == []
+    assert special == "True"
+    assert (tmp_path / "density_numeric.csv").exists() and (tmp_path / "validate.json").exists()
+
+
 def test_simulate_usage_errors(runner):
     base = ["simulate", "--n", "3", "--m", "1", "--reps", "10", "--seed", "0"]
     assert runner.invoke(main, base).exit_code == 2  # neither --j nor --stat
@@ -351,6 +421,23 @@ def test_power_rejects_contraction(runner):
             assert result.exit_code == 2, b
             assert "--b values must be finite and >= 1" in result.output
             assert list(Path(".").iterdir()) == []
+
+
+def test_discordancy_test_near_overflow_matches_rescaled_data(runner):
+    # the weighted spacings of the first file overflow without the row
+    # rescaling, which used to report z_1 = 0 and p = 1
+    with runner.isolated_filesystem():
+        Path("big.txt").write_text("1e308\n1.7e308\n1e-300\n")
+        Path("small.txt").write_text(f"{1e308 * 2.0**-1000!r}\n{1.7e308 * 2.0**-1000!r}\n"
+                                     "1e-300\n")
+        reports = []
+        for name in ("big.txt", "small.txt"):
+            result = runner.invoke(main, ["test", name, "--k", "1", "--m", "1",
+                                          "--reps", "300", "--seed", "5"])
+            assert result.exit_code == 0
+            reports.append(json.loads(result.output))
+        assert reports[0] == reports[1]
+        assert reports[0]["statistic"] == 7.0 / 27.0 and reports[0]["p_value"] < 1.0
 
 
 @pytest.mark.parametrize("command", [

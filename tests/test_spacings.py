@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
+from gammaspacings import spacings
 from gammaspacings import (
     DensityCurve,
     GammaParams,
@@ -401,7 +403,7 @@ def test_numeric_routes_on_arrays_match_pointwise_quad(idx, m):
 
 
 def test_spacing_law_pdf_at_a_tolerance_near_rounding_level():
-    # quad_vec ends this grid on its rounding-error stop with an error
+    # the GK21 integrator ends this grid on its rounding-error stop with an error
     # estimate inside tol, which counts as converged
     law = spacing_law(3, 2, 0.5, tol=1e-12)
     curve = density_curve(law, 2.0 * float(gamma_quantile(1.0 - 1e-8, GammaParams(0.5))), 2001)
@@ -426,7 +428,7 @@ def test_numeric_routes_reject_bad_input_before_any_quadrature(monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(integrate, "quad_vec", no_quadrature)
+    monkeypatch.setattr(spacings, "_adaptive_gk21", no_quadrature)
     idx, params = SpacingIndex.consecutive(4, 3), GammaParams(2.5)
     for fn in (spacing_pdf_numeric, spacing_cdf_numeric):
         for bad in ([1.0, math.nan], [math.inf, 1.0], [-math.inf], math.nan):
@@ -450,6 +452,60 @@ def test_spacing_law_cdf_interpolates_pointwise_cdf(m, bound):
     assert law.cdf(-1.0) == 0.0
     assert law.cdf(0.0) == 0.0
     assert 1.0 - 1e-9 < law.cdf(1e6) <= 1.0
+
+
+@pytest.mark.parametrize("m", [0.3, 0.5, 2.5])
+def test_monotone_cubic_matches_scipy_pchip_on_the_reference_cdf(m):
+    # the 257-node reference cdf of spacing_law, flat at 1 over its top
+    # nodes; law.cdf also clips y outside [0, ymax] to the end values
+    idx, params = SpacingIndex.consecutive(3, 2), GammaParams(m)
+    ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
+    nodes = ymax * np.linspace(0.0, 1.0, spacings.CDF_NODES) ** 3
+    values = np.maximum.accumulate(spacing_cdf_numeric(idx, params, nodes))
+    assert np.sum(np.diff(values) == 0) > 0
+    ys = np.concatenate([nodes, np.linspace(0.0, ymax, 5001), np.geomspace(1e-9, ymax, 500)])
+    oracle = PchipInterpolator(nodes, values)
+    assert np.max(np.abs(spacings._monotone_cubic(nodes, values)(ys) - oracle(ys))) <= 1e-14
+    outside = np.array([-5.0, -1e-300, ymax * (1 + 1e-12), 2 * ymax, 1e6])
+    law_cdf = spacing_law(3, 2, m).cdf(np.concatenate([ys, outside]))
+    expected = np.clip(oracle(np.clip(np.concatenate([ys, outside]), 0.0, ymax)), 0.0, 1.0)
+    assert np.max(np.abs(law_cdf - expected)) <= 1e-14
+
+
+def test_monotone_cubic_matches_scipy_pchip_with_flat_runs_and_uneven_steps():
+    x = np.array([0.0, 0.3, 0.35, 1.0, 1.2, 2.5, 2.6, 4.0, 7.0])
+    y = np.array([0.0, 0.2, 0.2, 0.2, 0.5, 0.9, 0.9, 0.95, 1.0])
+    ys = np.linspace(0.0, 7.0, 2001)
+    fit = spacings._monotone_cubic(x, y)(ys)
+    assert np.max(np.abs(fit - PchipInterpolator(x, y)(ys))) <= 1e-14
+    assert np.all(np.diff(fit) >= -1e-15)
+    assert np.all(fit[(ys >= 0.3) & (ys <= 1.0)] == 0.2)  # flat run stays flat
+
+
+@pytest.mark.parametrize("idx, m", ARRAY_CASES, ids=lambda v: (
+    f"n{v.n}s{v.s}r{v.r}" if isinstance(v, SpacingIndex) else f"m{v}"))
+def test_adaptive_gk21_follows_quad_vec(idx, m, monkeypatch):
+    # the same subdivision as scipy's quad_vec (GK21, max norm): equal
+    # interval counts, values equal to rounding
+    seen = {}
+
+    def record(fn, a, b, tol):
+        seen["fn"], seen["args"] = fn, (a, b, tol)
+        seen["ours"] = adaptive(fn, a, b, tol)
+        return seen["ours"]
+
+    adaptive = spacings._adaptive_gk21
+    monkeypatch.setattr(spacings, "_adaptive_gk21", record)
+    ys = np.linspace(0.01, 12.0, 301)
+    spacing_pdf_numeric(idx, GammaParams(m), ys)
+    fn, (a, b, tol) = seen["fn"], seen["args"]
+    value, err, status, intervals = seen["ours"]
+    ref, ref_err, info = integrate.quad_vec(
+        lambda x: fn(np.array([x]))[0], a, b, epsabs=tol, epsrel=0.0, norm="max",
+        limit=spacings.SUBDIVISION_LIMIT, full_output=True)
+    assert (status, intervals) == (info.status, len(info.intervals))
+    assert np.max(np.abs(value - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+    assert abs(err - ref_err) <= 1e-12 * ref_err
 
 
 def test_spacing_law_resolves_routes():

@@ -88,6 +88,21 @@ def test_z_k_scale_invariance():
         assert abs(z_k(a * data, 3) - base) < 1e-12
 
 
+def test_z_k_near_overflow_matches_the_rescaled_sample():
+    # the weighted spacings of these data overflow to inf without the
+    # row rescaling; a power of two scales every entry exactly
+    data = np.array([1e308, 1.7e308, 1e300, 3e307])
+    small = data * 2.0**-1000
+    for k in (1, 2):
+        assert z_k(data, k) == z_k(small, k)
+        assert abs(z_k_telescoped(data, k) - z_k_telescoped(small, k)) < 1e-15
+        assert 0.0 < z_k(data, k) < 1.0
+    assert z_k([1e308, 1.7e308, 1e-300], 1) == 7.0 / 27.0
+    # rows in range are left as they are, next to a rescaled row
+    xs = np.sort(np.vstack([data, [1.0, 2.0, 4.0, 7.0]]), axis=1)
+    assert list(REDUCTIONS["zk"](xs, 1)) == [z_k(small, 1), z_k([1.0, 2.0, 4.0, 7.0], 1)]
+
+
 def test_z_k_telescoped_hand_values():
     assert z_k_telescoped([1.0, 2.0, 4.0], 1) == 0.5
     assert z_k_telescoped([0.0, 1.0], 1) == 1.0
