@@ -27,7 +27,7 @@ def decide(label, data, null):
     observed = z_k(data, K)
     crit = critical_value(null, ALPHA)
     pval = p_value(null, observed)
-    verdict = "DISCORDANT" if observed > crit else "not discordant"
+    verdict = "DISCORDANT" if pval <= ALPHA else "not discordant"
     print(f"  {label}")
     print(f"    z_{K} = {observed:.4f}   critical = {crit:.4f}   "
           f"p = {pval:.4f}   -> {verdict}")

@@ -50,26 +50,33 @@ class CliError(click.ClickException):
     exit_code = 2
 
 
+CHUNK = 4096  # CSV rows rendered per write
+
+
 def _write(path, fmt="json", doc=None, comments=None, columns=None):
-    """Render one output file, write it to ``path`` and echo its name.
+    """Render one output file straight into ``path`` and echo its name.
 
     ``csv``: ``# key: value`` lines from ``comments``, a header of the
     ``columns`` names, then the rows, floats as shortest round-trip
-    ``repr``.  ``json``: ``doc`` indented by 2, numpy arrays as lists.
-    A failed write raises ``CliError`` (exit 2) naming the path.
+    ``repr``, rendered and written ``CHUNK`` rows at a time.  ``json``:
+    ``doc`` indented by 2, numpy arrays as lists, written by
+    ``json.dump`` piece by piece as it is encoded.  Neither format holds
+    the whole text in memory, so the writer's memory does not grow with
+    the row count.  A failed open or write raises ``CliError`` (exit 2)
+    naming the path.
     """
-    if fmt == "csv":
-        lines = [f"# {key}: {value}" for key, value in comments.items()]
-        lines.append(",".join(columns))
-        # Element by element: a whole-column ``tolist()`` renders no
-        # faster and adds its float objects to peak memory.
-        cells = [map(repr, map(float, col)) for col in columns.values()]
-        lines.extend(map(",".join, zip(*cells)))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            if fmt == "csv":
+                out.writelines(f"# {key}: {value}\n" for key, value in comments.items())
+                out.write(",".join(columns) + "\n")
+                cols = [np.asarray(col, dtype=float) for col in columns.values()]
+                for lo in range(0, min(map(len, cols)), CHUNK):
+                    cells = [map(repr, col[lo:lo + CHUNK].tolist()) for col in cols]
+                    out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            else:
+                json.dump(doc, out, indent=2, default=np.ndarray.tolist)
+                out.write("\n")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}")
     click.echo(f"wrote {path}")
@@ -342,8 +349,10 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
 
     DATAFILE holds one observation per line, finite and > 0 as the
     Gamma null requires (blank lines and '#' comments are skipped).
-    Exits 1 when the sample is discordant at level alpha, 0 when it is
-    not, 2 on errors.
+    The sample is discordant when the add-one p-value is at most alpha
+    (Phipson & Smyth 2010); the reported critical value is the null's
+    1 - alpha quantile.  Exits 1 when the sample is discordant, 0 when
+    it is not, 2 on errors.
     """
     if not 0.0 < alpha < 1.0:
         raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
@@ -371,7 +380,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     null = simulate_statistic(cfg, stat, workers=workers)
     crit = critical_value(null, alpha)
     pval = p_value(null, observed)
-    discordant = observed > crit
+    discordant = pval <= alpha
     report = {
         "statistic": observed,
         "p_value": pval,

@@ -10,7 +10,8 @@ from seed to simulated values does.
 
 Conventions: empirical critical values invert the ECDF at ``1 - alpha``
 (1-based index ``ceil((1-alpha) * R)``); p-values use add-one counting
-``(1 + #{values >= observed}) / (1 + R)`` so they are never zero.
+``(1 + #{values >= observed}) / (1 + R)`` so they are never zero, and a
+test or power replication rejects iff its p-value is at most ``alpha``.
 Statistic nulls are simulated at unit scale: both statistics are scale
 invariant, which is what makes the stored ``sigma`` metadata only.
 
@@ -259,9 +260,7 @@ def critical_value(sample: EmpiricalSample, alpha) -> float:
     The ``ceil((1 - alpha) * R)``-th smallest simulated value (1-based),
     i.e. the inverted ECDF at ``1 - alpha``.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    alpha = _check_alpha(alpha)
     if not sample.sorted:
         raise ValueError("sample must be finalized (sorted)")
     reps = sample.values.size
@@ -280,10 +279,22 @@ def p_value(sample: EmpiricalSample, observed) -> float:
     observed = float(observed)
     if not math.isfinite(observed):
         raise ValueError(f"observed must be finite, got {observed!r}")
+    return float(_p_values(sample, observed))
+
+
+def _check_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    return alpha
+
+
+def _p_values(sample: EmpiricalSample, observed):
+    """``p_value`` of each entry of ``observed``, by one ``searchsorted``."""
     if not sample.sorted:
         raise ValueError("sample must be finalized (sorted)")
     reps = sample.values.size
-    count_ge = reps - int(np.searchsorted(sample.values, observed, side="left"))
+    count_ge = reps - np.searchsorted(sample.values, observed, side="left")
     return (1 + count_ge) / (1 + reps)
 
 
@@ -296,11 +307,11 @@ def simulate_power(
 ) -> float:
     """Rejection rate under scale slippage, against a simulated null.
 
-    The statistic is taken from ``null_sample.statistic_name``; its
-    critical value at ``alpha`` comes from ``null_sample``.  Each
+    The statistic is taken from ``null_sample.statistic_name``.  Each
     replication draws ``n`` unit-scale variates, multiplies the last
     ``contaminated_count`` of them by ``b``, and rejects when the
-    statistic exceeds the critical value.
+    statistic's add-one p-value against ``null_sample`` is at most
+    ``alpha`` (Phipson & Smyth 2010), the decision ``test`` makes.
 
     Raises
     ------
@@ -328,9 +339,9 @@ def simulate_power(
             f"(n={null_cfg.n}, m={null_cfg.m}, k={null_cfg.k}), "
             f"not (n={config.n}, m={config.m}, k={config.k})"
         )
-    crit = critical_value(null_sample, alpha)
+    alpha = _check_alpha(alpha)
     scale = np.ones(config.n)
     scale[config.n - config.k :] = alternative.b
     stat = REDUCTIONS[which]
     values = _simulate(config, lambda xs: stat(xs, config.k), scale, workers)
-    return float(np.mean(values > crit))
+    return float(np.mean(_p_values(null_sample, values) <= alpha))

@@ -364,17 +364,20 @@ def _adaptive_gk21(fn, a, b, tol):
     ``scipy.integrate.quad_vec``'s rules (``norm="max"``, ``epsrel=0``),
     so the same intervals come out.  Each round bisects the intervals of
     largest error until their error sum exceeds ``global_err - tol/8``,
-    with one ``fn`` call for all their nodes.  Returns ``(integral,
-    global_err + rounding, status, intervals)``; status 0 is converged
-    (``global_err < tol/8``), 2 a stop on ``global_err`` below the summed
-    rounding estimate, 3 a non-finite estimate and 1 ``SUBDIVISION_LIMIT``.
+    with one ``fn`` call for all their nodes, and never past
+    ``SUBDIVISION_LIMIT`` intervals (``quad_vec`` can overshoot it by a
+    round).  Returns ``(integral, global_err + rounding, status,
+    intervals)``; status 0 is converged (``global_err < tol/8``), 2 a
+    stop on ``global_err`` below the summed rounding estimate, 3 a
+    non-finite estimate and 1 ``SUBDIVISION_LIMIT``.
     """
     ig, err, rnd = _gk21(fn, np.array([a]), np.array([b]))
     total, total_err, rounding, parts = ig[0], err[0], rnd[0], [ig[0]]
     heap, status = [(-err[0], a, b, 0)], 1
     while status == 1 and len(heap) < SUBDIVISION_LIMIT:
-        todo, err_sum = [], 0.0
-        while heap and len(todo) < 128 and not (todo and err_sum > total_err - tol / 8):
+        # each bisection adds one interval: stop at SUBDIVISION_LIMIT
+        todo, err_sum, cap = [], 0.0, min(128, SUBDIVISION_LIMIT - len(heap))
+        while heap and len(todo) < cap and not (todo and err_sum > total_err - tol / 8):
             todo.append(heapq.heappop(heap))
             err_sum -= todo[-1][0]
         neg_err, lo, hi, old = zip(*todo)

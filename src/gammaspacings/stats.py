@@ -93,8 +93,8 @@ def spacings_from_sample(data) -> np.ndarray:
 def _in_range(xs: np.ndarray) -> np.ndarray:
     """``xs`` with every row whose largest magnitude exceeds
     ``finfo.max / n^2`` divided by a power of two, so that weighted
-    spacing sums cannot overflow; the ratio statistics are scale-free
-    and other rows are returned untouched."""
+    spacing sums and ranges cannot overflow; the ratio statistics are
+    scale-free and other rows are returned untouched."""
     n = xs.shape[1]
     peak = np.maximum(abs(xs[:, 0]), abs(xs[:, -1]))
     big = peak > np.finfo(float).max / n**2
@@ -151,6 +151,8 @@ def z_k_telescoped(data, k) -> float:
 
 
 def _dk_sorted(xs: np.ndarray, k: int) -> np.ndarray:
+    # rows near overflow are rescaled, so a range of both signs is finite
+    xs = _in_range(xs)
     rng = xs[:, -1] - xs[:, 0]
     if np.any(rng == 0.0):
         raise DegenerateSampleError("all observations are equal; D_k is undefined")
@@ -165,8 +167,9 @@ REDUCTIONS = {"zk": _zk_sorted, "dk": _dk_sorted}
 def dixon_dk(data, k) -> float:
     """Gap ratio ``(X_(n) - X_(n-k)) / (X_(n) - X_(1))``.
 
-    Lies in ``[0, 1]``; invariant under shift and positive rescaling.
-    Requires ``1 <= k <= n - 1``.
+    Lies in ``[0, 1]``; invariant under shift and positive rescaling
+    (rows near overflow are rescaled by a power of two first).  Requires
+    ``1 <= k <= n - 1``.
     """
     xs = _sorted_values(data)
     return float(_dk_sorted(xs[np.newaxis], _check_k(k, xs.size, xs.size - 1))[0])

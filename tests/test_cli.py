@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from gammaspacings import (
     SimulationConfig,
@@ -23,6 +25,7 @@ from gammaspacings import (
     simulate_statistic,
     spacing_law,
 )
+from gammaspacings import cli
 from gammaspacings.cli import main
 from gammaspacings.montecarlo import STREAM_LAYOUT
 from gammaspacings.stats import REDUCTIONS
@@ -360,6 +363,41 @@ def test_discordancy_test_clean_sample_exits_zero(runner):
         assert report["decision"] == "not discordant"
 
 
+def _data_with_z1(t):
+    """Five observations whose z_1 is ``t``: 1, 2, 3, 4 and a top value
+    whose gap g gives z_1 = g / (9 + g)."""
+    return "1\n2\n3\n4\n" + repr(4.0 + 9.0 * t / (1.0 - t)) + "\n"
+
+
+def test_discordancy_decision_follows_the_p_value(runner):
+    # an observation between the 95th and 96th of 100 null values exceeds
+    # the 0.05 critical value, but its add-one p-value is 6/101 > 0.05
+    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=100, seed=7, k=1), "zk")
+    observed = float(null.values[94:96].mean())
+    with runner.isolated_filesystem():
+        Path("data.txt").write_text(_data_with_z1(observed))
+        result = runner.invoke(main, ["test", "data.txt", "--k", "1", "--m", "1",
+                                      "--reps", "100", "--seed", "7"])
+        report = json.loads(result.output)
+        assert report["statistic"] > report["critical_value"] == null.values[94]
+        assert report["p_value"] == 6 / 101
+        assert report["decision"] == "not discordant" and result.exit_code == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=st.floats(0.01, 0.99), alpha=st.floats(0.005, 0.5), seed=st.integers(0, 2**32))
+def test_discordancy_decision_holds_iff_p_at_most_alpha(t, alpha, seed):
+    with CliRunner().isolated_filesystem():
+        Path("data.txt").write_text(_data_with_z1(t))
+        result = CliRunner().invoke(main, ["test", "data.txt", "--k", "1", "--m", "1",
+                                           "--alpha", repr(alpha), "--reps", "60",
+                                           "--seed", str(seed)])
+        report = json.loads(result.output)
+        discordant = report["p_value"] <= alpha
+        assert report["decision"] == ("discordant" if discordant else "not discordant")
+        assert result.exit_code == int(discordant)
+
+
 def test_discordancy_test_error_paths(runner):
     with runner.isolated_filesystem():
         Path("flat.txt").write_text("5.0\n5.0\n5.0\n")
@@ -450,6 +488,43 @@ def test_write_failure_exits_two(runner, command):
         result = runner.invoke(main, command + ["--output", "nodir/x"])
         assert result.exit_code == 2
         assert "cannot write nodir/x" in result.output
+
+
+@pytest.mark.parametrize("rows", [1, cli.CHUNK, cli.CHUNK + 1, 2 * cli.CHUNK + 1])
+@pytest.mark.parametrize("two_columns", [False, True], ids=["one-column", "two-columns"])
+def test_csv_writer_blocks_render_every_row(tmp_path, rows, two_columns):
+    # rows straddling the CHUNK boundaries, against a one-piece reference
+    values = np.random.default_rng(rows).gamma(0.5, size=rows) * np.logspace(-300, 300, rows)
+    columns = {"v": values}
+    if two_columns:
+        columns["w"] = (-values / 3).tolist()  # a list column, as ``power`` passes
+    comments = {"statistic": "dk", "reps": rows}
+    path = tmp_path / "out.csv"
+    cli._write(path, "csv", comments=comments, columns=columns)
+    body = ["# statistic: dk", f"# reps: {rows}", ",".join(columns)] + [
+        ",".join(repr(float(v)) for v in row) for row in zip(*columns.values())]
+    assert path.read_bytes() == ("\n".join(body) + "\n").encode()
+
+
+def _write_peak_mb(path, **kwargs):
+    tracemalloc.start()
+    try:
+        cli._write(path, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_does_not_grow_with_rows(tmp_path):
+    # one whole-text rendering of these 2e5 rows peaks at about 22 MB
+    values = np.sort(np.random.default_rng(5).random(200_000))
+    csv_peak = _write_peak_mb(tmp_path / "x.csv", fmt="csv", comments={"a": 1},
+                              columns={"value": values})
+    json_peak = _write_peak_mb(tmp_path / "x.json", doc={"values": values})
+    assert csv_peak < 2.0, f"CSV writer peaked at {csv_peak:.2f} MB"
+    # the rest is the ``tolist()`` of the array that ``json`` encodes
+    assert json_peak < 12.0, f"JSON writer peaked at {json_peak:.2f} MB"
+    assert json.loads((tmp_path / "x.json").read_text())["values"] == values.tolist()
 
 
 @pytest.mark.parametrize("command", [

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammaspacings import (
     ConfigMismatchError,
@@ -252,6 +253,18 @@ def test_simulate_power_dominates_alpha_half():
         null,
     )
     assert est >= 0.5
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(0.005, 0.6), seed=st.integers(0, 2**32), reps=st.integers(1, 300),
+       which=st.sampled_from(["zk", "dk"]))
+def test_simulate_power_rejects_iff_p_at_most_alpha(alpha, seed, reps, which):
+    # at b = 1 the sweep redraws exactly the statistic sample of its config
+    null = simulate_statistic(SimulationConfig(n=6, m=2.0, reps=200, seed=1, k=2), which)
+    cfg = SimulationConfig(n=6, m=2.0, reps=reps, seed=seed, k=2)
+    drawn = simulate_statistic(cfg, which).values
+    expected = np.mean([p_value(null, v) <= alpha for v in drawn])
+    assert simulate_power(cfg, SlippageAlternative(1.0, 2), alpha, null) == expected
 
 
 def test_simulate_power_config_mismatches():

@@ -508,6 +508,14 @@ def test_adaptive_gk21_follows_quad_vec(idx, m, monkeypatch):
     assert abs(err - ref_err) <= 1e-12 * ref_err
 
 
+def test_adaptive_gk21_stops_at_the_subdivision_limit():
+    # a divergent integral (f_Y(0) is infinite at m < 1/2): no round may
+    # bisect past the limit, so the run ends with exactly that many
+    limit = spacings.SUBDIVISION_LIMIT
+    with pytest.raises(QuadratureError, match=rf"in {limit} intervals \(limit {limit}\)"):
+        spacing_pdf_numeric(SpacingIndex(2, 2, 1), GammaParams(0.4), 0.0)
+
+
 def test_spacing_law_resolves_routes():
     assert spacing_law(2, 2, 3).route == "exact"
     assert spacing_law(2, 2, 2.5).route == "numeric"

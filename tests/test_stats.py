@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -138,6 +140,19 @@ def test_dixon_dk_location_scale_invariance():
     # general affine maps agree to roundoff
     for a, b in ((3.7, 11.1), (0.02, -4.5), (np.pi, np.e)):
         assert abs(dixon_dk(a * data + b, 2) - base) < 1e-12
+
+
+def test_dixon_dk_near_overflow_matches_the_rescaled_sample():
+    # the range of these data overflows to inf without the row rescaling
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dixon_dk([-1.7e308, 0.0, 1.7e308], 1) == 0.5
+        data = np.array([-1e308, 1.7e308, 3e307, -2e300])
+        for k in (1, 2, 3):
+            assert dixon_dk(data, k) == dixon_dk(data * 2.0**-1000, k)
+        # rows in range are left as they are, next to a rescaled row
+        xs = np.sort(np.vstack([data, [1.0, 2.0, 4.0, 7.0]]), axis=1)
+        assert list(REDUCTIONS["dk"](xs, 1)) == [dixon_dk(data, 1), 3.0 / 6.0]
 
 
 def test_dixon_dk_errors():
