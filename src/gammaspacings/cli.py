@@ -356,8 +356,12 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     """
     if not 0.0 < alpha < 1.0:
         raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
+    try:
+        text = Path(datafile).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {datafile}: {getattr(exc, 'strerror', None) or exc}")
     values = []
-    for lineno, raw in enumerate(Path(datafile).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -410,7 +414,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--reps", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, required=True,
-              help="Null-sample seed; sweep row i uses seed+1+i.")
+              help="RNG seed: null from seed, every sweep row from seed+1.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
@@ -426,12 +430,9 @@ def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
     _check_stat_k(k, n)
     null_cfg = _config(n=n, m=m, reps=reps, seed=seed, k=k)
     null = simulate_statistic(null_cfg, stat, workers=workers)
-    powers = []
-    for i, b in enumerate(bs):
-        alt_seed = (seed + 1 + i) % 2**64
-        alt_cfg = _config(n=n, m=m, reps=reps, seed=alt_seed, k=k)
-        powers.append(simulate_power(alt_cfg, SlippageAlternative(b, k), alpha, null,
-                                     workers=workers))
+    alt_cfg = _config(n=n, m=m, reps=reps, seed=(seed + 1) % 2**64, k=k)
+    powers = simulate_power(alt_cfg, [SlippageAlternative(b, k) for b in bs], alpha, null,
+                            workers=workers)
     ses = [math.sqrt(p * (1.0 - p) / reps) for p in powers]
     params = {"n": n, "m": m, "k": k, "b": b_list, "stat": stat, "alpha": alpha,
               "reps": reps, "seed": seed, "format": fmt, "output": output}

@@ -118,6 +118,18 @@ def test_density_below_half_shape(runner):
         assert np.all(np.isfinite(fs)) and np.all(np.diff(fs) < 0)
 
 
+@pytest.mark.parametrize("m, bound", [(0.05, 0.01), (0.3, 0.03), (0.7, 0.01)])
+def test_density_normalization_error_below_unit_shape(runner, m, bound):
+    # most of the mass can lie below the first grid point (92 % at
+    # m = 0.05), so the check compares with the law's cdf over the grid
+    with runner.isolated_filesystem():
+        invoke(runner, ["density", "--m", str(m), "--n", "3", "--j", "2",
+                        "--format", "json"])
+        for route in ("numeric", "claimed"):
+            blob = json.loads(Path(f"density_{route}.json").read_text())
+            assert blob["normalization_error"] < bound, (route, blob["normalization_error"])
+
+
 def test_density_numeric_route_matches_claimed_at_m1(runner):
     with runner.isolated_filesystem():
         result = invoke(runner, [
@@ -426,6 +438,51 @@ def test_discordancy_test_rejects_non_finite_data(runner, bad):
         assert "data.txt:3:" in result.output
 
 
+def test_discordancy_test_unreadable_datafile_exits_two(runner, monkeypatch):
+    base = ["--k", "1", "--m", "2", "--reps", "100", "--seed", "1"]
+    with runner.isolated_filesystem():
+        Path("data.txt").write_bytes(b"1\n2\n3\n4\n5\n6\n\xff")
+        result = runner.invoke(main, ["test", "data.txt"] + base)
+        assert result.exit_code == 2, result.output
+        assert "cannot read data.txt" in result.output and "decode" in result.output
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        result = runner.invoke(main, ["test", "data.txt"] + base)
+        assert result.exit_code == 2, result.output
+        assert "cannot read data.txt: Permission denied" in result.output
+
+
+_NUMERIC_LINE = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", "# note", " 2.5 ", "1e308", "1.7e308", "5e-324", "0", "-0.0",
+                     "1_000", "\t7\t", "0x10", "1e400"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64),
+                      st.lists(_NUMERIC_LINE, max_size=10).map(
+                          lambda lines: "\n".join(lines).encode())),
+       k=st.integers(1, 3), stat=st.sampled_from(["zk", "dk"]))
+def test_discordancy_test_survives_any_datafile(data, k, stat):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("data.txt").write_bytes(data)
+        result = runner.invoke(main, ["test", "data.txt", "--k", str(k), "--m", "2",
+                                      "--stat", stat, "--reps", "30", "--seed", "1"])
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        data, result.exception)
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.output
+    if result.exit_code != 2:
+        decision = json.loads(result.stdout)["decision"]
+        assert decision == ("discordant" if result.exit_code == 1 else "not discordant")
+
+
 def test_discordancy_test_rejects_values_outside_gamma_support(runner):
     with runner.isolated_filesystem():
         Path("data.txt").write_text("1\n-2\n0\n3\n9\n")
@@ -624,10 +681,9 @@ def _critical_values_expected(fmt):
 
 def _power_expected(fmt):
     null = simulate_statistic(SimulationConfig(n=6, m=2.0, reps=300, seed=4, k=1), "zk")
-    bs, powers = [1.0, 3.0], []
-    for i, b in enumerate(bs):
-        cfg = SimulationConfig(n=6, m=2.0, reps=300, seed=5 + i, k=1)
-        powers.append(simulate_power(cfg, SlippageAlternative(b, 1), 0.05, null))
+    bs = [1.0, 3.0]
+    cfg = SimulationConfig(n=6, m=2.0, reps=300, seed=5, k=1)
+    powers = simulate_power(cfg, [SlippageAlternative(b, 1) for b in bs], 0.05, null)
     ses = [(p * (1.0 - p) / 300) ** 0.5 for p in powers]
     params = {"n": 6, "m": 2.0, "k": 1, "b": "1,3", "stat": "zk", "alpha": 0.05,
               "reps": 300, "seed": 4, "format": fmt, "output": "power"}

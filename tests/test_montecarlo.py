@@ -20,7 +20,8 @@ from gammaspacings import (
     simulate_spacing,
     simulate_statistic,
 )
-from gammaspacings.montecarlo import BLOCK
+from gammaspacings.montecarlo import BLOCK, _simulate
+from gammaspacings.stats import REDUCTIONS
 
 
 def toy_sample(values, reps=None, name="zk"):
@@ -153,6 +154,43 @@ def test_block_addressing_extends_without_changing_earlier_blocks():
         assert not Counter(small.values.tolist()) - Counter(large.values.tolist())
 
 
+# Literal values of the block stream (philox-block-4096/v2): sorted
+# samples and replication order at the first and last replication of
+# block 0, the first of block 1 and the last overall.  A change to any
+# of them changes the stream contract and STREAM_LAYOUT with it.
+PINNED_INDICES = [0, BLOCK - 1, BLOCK, -1]
+PINNED_SORTED = {
+    "zk": [0.002317715031274693, 0.8792808062960165, 0.8804865991847008,
+           0.9265478497307307],
+    "dk": [0.006395754534880627, 0.9601479619428717, 0.9602947246801747,
+           0.9695952902682416],
+    "y3": [1.179564239317532e-05, 5.45627204386015, 5.47829200171571,
+           8.642427287805347],
+}
+PINNED_IN_ORDER = {
+    "zk": [0.3132221660158486, 0.6254827827997834, 0.20621714813708159,
+           0.3923436515374201],
+    "dk": [0.6423671337707244, 0.7819323541600107, 0.4476903835714026,
+           0.7120869229110646],
+    "y3": [1.2117867313163293, 0.20484878747087487, 3.3300409653491925,
+           1.71283331899819],
+}
+
+
+def test_block_stream_values_are_pinned():
+    stat_cfg = SimulationConfig(n=6, m=2.5, reps=BLOCK + 5, seed=11, k=2)
+    spacing_cfg = SimulationConfig(n=5, m=0.7, sigma=3.0, reps=BLOCK + 5, seed=12)
+    samples = {which: simulate_statistic(stat_cfg, which) for which in ("zk", "dk")}
+    samples["y3"] = simulate_spacing(spacing_cfg, 3)
+    in_order = {which: _simulate(stat_cfg, lambda xs, f=REDUCTIONS[which]: f(xs, 2),
+                                 np.ones(6), 1)[0] for which in ("zk", "dk")}
+    in_order["y3"] = _simulate(spacing_cfg, lambda xs: xs[:, 2] - xs[:, 1],
+                               np.full(5, 3.0), 1)[0]
+    for name, sample in samples.items():
+        assert sample.values[PINNED_INDICES].tolist() == PINNED_SORTED[name], name
+        assert in_order[name][PINNED_INDICES].tolist() == PINNED_IN_ORDER[name], name
+
+
 def test_degenerate_draws_are_bounded():
     # Gamma(1e-7) variates underflow to 0, so nearly every row is
     # degenerate; the redraws must give up with a typed error, quickly
@@ -226,10 +264,10 @@ def test_simulate_power_null_recovery():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1), "zk")
     est = simulate_power(
         SimulationConfig(n=5, m=1.0, reps=10**4, seed=22, k=1),
-        SlippageAlternative(1.0 + 1e-9, 1),
+        [SlippageAlternative(1.0 + 1e-9, 1)],
         0.05,
         null,
-    )
+    )[0]
     assert abs(est - 0.05) < 3 * math.sqrt(0.05 * 0.95 / 10**4)
 
 
@@ -237,10 +275,10 @@ def test_simulate_power_extreme_slippage():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1), "zk")
     est = simulate_power(
         SimulationConfig(n=5, m=1.0, reps=10**4, seed=22, k=1),
-        SlippageAlternative(1000.0, 1),
+        [SlippageAlternative(1000.0, 1)],
         0.05,
         null,
-    )
+    )[0]
     assert est > 0.9
 
 
@@ -248,10 +286,10 @@ def test_simulate_power_dominates_alpha_half():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1), "zk")
     est = simulate_power(
         SimulationConfig(n=5, m=1.0, reps=10**4, seed=22, k=1),
-        SlippageAlternative(2.0, 1),
+        [SlippageAlternative(2.0, 1)],
         0.5,
         null,
-    )
+    )[0]
     assert est >= 0.5
 
 
@@ -264,26 +302,74 @@ def test_simulate_power_rejects_iff_p_at_most_alpha(alpha, seed, reps, which):
     cfg = SimulationConfig(n=6, m=2.0, reps=reps, seed=seed, k=2)
     drawn = simulate_statistic(cfg, which).values
     expected = np.mean([p_value(null, v) <= alpha for v in drawn])
-    assert simulate_power(cfg, SlippageAlternative(1.0, 2), alpha, null) == expected
+    assert simulate_power(cfg, [SlippageAlternative(1.0, 2)], alpha, null) == [expected]
 
 
 def test_simulate_power_config_mismatches():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1), "zk")
     good = SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=1)
     with pytest.raises(ConfigMismatchError):
-        simulate_power(good, SlippageAlternative(2.0, 2), 0.05, null)
+        simulate_power(good, [SlippageAlternative(2.0, 2)], 0.05, null)
     with pytest.raises(ConfigMismatchError):
         simulate_power(SimulationConfig(n=6, m=1.0, reps=200, seed=2, k=1),
-                       SlippageAlternative(2.0, 1), 0.05, null)
+                       [SlippageAlternative(2.0, 1)], 0.05, null)
     spacing_null = simulate_spacing(SimulationConfig(n=5, m=1.0, reps=200, seed=1), 2)
     with pytest.raises(ConfigMismatchError):
-        simulate_power(good, SlippageAlternative(2.0, 1), 0.05, spacing_null)
+        simulate_power(good, [SlippageAlternative(2.0, 1)], 0.05, spacing_null)
 
 
 def test_simulate_power_worker_invariant():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=500, seed=1, k=1), "zk")
     cfg = SimulationConfig(n=5, m=1.0, reps=500, seed=2, k=1)
-    alt = SlippageAlternative(2.0, 1)
+    alt = [SlippageAlternative(2.0, 1)]
     assert simulate_power(cfg, alt, 0.05, null) == simulate_power(
         cfg, alt, 0.05, null, workers=4
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(bs=st.lists(st.sampled_from([1.0, 1.0 + 1e-9, 1.5, 2.0, 4.0, 1e3]),
+                   min_size=1, max_size=4),
+       seed=st.integers(0, 2**32), reps=st.integers(1, BLOCK + 50),
+       m=st.sampled_from([2.0, 0.7]), which=st.sampled_from(["zk", "dk"]))
+def test_power_sweep_row_equals_its_one_alternative_run(bs, seed, reps, m, which):
+    null = simulate_statistic(SimulationConfig(n=3, m=m, reps=200, seed=1, k=1), which)
+    cfg = SimulationConfig(n=3, m=m, reps=reps, seed=seed, k=1)
+    sweep = simulate_power(cfg, [SlippageAlternative(b, 1) for b in bs], 0.05, null)
+    assert sweep == [simulate_power(cfg, [SlippageAlternative(b, 1)], 0.05, null)[0]
+                     for b in bs]
+
+
+@pytest.mark.parametrize("m", [0.002, 1e31])
+def test_each_scale_replays_the_blocks_redraws(m):
+    # m = 0.002: about 1 % of rows draw three zeros, degenerate at every
+    # scale; m = 1e31: about a fifth of rows draw three equal values, which
+    # only the unit scale leaves equal.  Each scale must see the redraws a
+    # run with that scale alone sees.  The reduction returns a view of the
+    # reused buffer.
+    cfg = SimulationConfig(n=3, m=m, reps=BLOCK + 5, seed=3)
+    scales = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1e3]])
+    stacked = _simulate(cfg, lambda xs: xs[:, -1], scales, 2)
+    for i, scale in enumerate(scales):
+        alone = _simulate(cfg, lambda xs: xs[:, -1], scale, 1)[0]
+        assert np.array_equal(stacked[i], alone), i
+
+
+def test_power_sweep_worker_invariant():
+    null = simulate_statistic(SimulationConfig(n=6, m=2.0, reps=500, seed=1, k=2), "dk")
+    cfg = SimulationConfig(n=6, m=2.0, reps=2 * BLOCK + 7, seed=2, k=2)
+    alts = [SlippageAlternative(b, 2) for b in (1.0, 1.5, 3.0)]
+    sweep = simulate_power(cfg, alts, 0.05, null)
+    assert sweep == simulate_power(cfg, alts, 0.05, null, workers=4)
+    assert sweep[0] < sweep[1] < sweep[2]
+
+
+def test_power_sweep_checks_every_alternative():
+    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1), "zk")
+    cfg = SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=1)
+    with pytest.raises(ConfigMismatchError):
+        simulate_power(cfg, [SlippageAlternative(2.0, 1), SlippageAlternative(2.0, 2)],
+                       0.05, null)
+    for bad in ([], SlippageAlternative(2.0, 1), [2.0]):
+        with pytest.raises(TypeError):
+            simulate_power(cfg, bad, 0.05, null)

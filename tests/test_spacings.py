@@ -225,6 +225,14 @@ def test_spacing_cdf_numeric_monotone_and_matches_exact():
         assert abs(v - y2_cdf_exact(2, y)) < 1e-7
 
 
+def test_spacing_cdf_numeric_at_an_ulp_above_zero():
+    # S(x+y)/S(x) rounds above 1 at y ~ 1e-15; the integrand must stay finite
+    idx = SpacingIndex(n=2, s=2, r=1)
+    for y in (1.850641891615713e-15, 1e-12):
+        v = spacing_cdf_numeric(idx, GammaParams(4.0), y, tol=1e-9)
+        assert 0.0 <= v <= 1e-9
+
+
 def test_claimed_pdf_yj_values():
     assert_allclose(claimed_pdf_yj(2, 2, 1.0, 1.0), math.exp(-1.0), rtol=1e-14)
     # Exp(rate 2) density at 0 for the second spacing of three
