@@ -12,8 +12,6 @@ from gammaspacings import (
     RngStream,
     SimulationConfig,
     critical_value,
-    gamma_sample,
-    GammaParams,
     p_value,
     simulate_statistic,
     z_k,
@@ -39,7 +37,7 @@ def main():
     null = simulate_statistic(
         SimulationConfig(n=N, m=M, reps=10**4, seed=SEED, k=K), "zk"
     )
-    clean = gamma_sample(RngStream(SEED, 12345), GammaParams(M, 1.0), N)
+    clean = RngStream(SEED, 12345).generator().gamma(M, 1.0, N)
     contaminated = clean.copy()
     contaminated[np.argmax(contaminated)] *= 6.0
 

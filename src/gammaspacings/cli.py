@@ -62,11 +62,13 @@ def _write(path, fmt="json", doc=None, comments=None, columns=None):
     ``doc`` indented by 2, numpy arrays as lists, written by
     ``json.dump`` piece by piece as it is encoded.  Neither format holds
     the whole text in memory, so the writer's memory does not grow with
-    the row count.  A failed open or write raises ``CliError`` (exit 2)
-    naming the path.
+    the row count.  Files are UTF-8 in any locale.  A failed open or
+    write, or text UTF-8 cannot encode (a lone surrogate from an
+    undecodable argument byte), raises ``CliError`` (exit 2) naming the
+    path.
     """
     try:
-        with open(path, "w") as out:
+        with open(path, "w", encoding="utf-8") as out:
             if fmt == "csv":
                 out.writelines(f"# {key}: {value}\n" for key, value in comments.items())
                 out.write(",".join(columns) + "\n")
@@ -77,8 +79,8 @@ def _write(path, fmt="json", doc=None, comments=None, columns=None):
             else:
                 json.dump(doc, out, indent=2, default=np.ndarray.tolist)
                 out.write("\n")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+    except (OSError, UnicodeEncodeError) as exc:
+        raise CliError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}")
     click.echo(f"wrote {path}")
 
 
@@ -347,8 +349,8 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
 def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     """Discordancy test for the k largest values of a data file.
 
-    DATAFILE holds one observation per line, finite and > 0 as the
-    Gamma null requires (blank lines and '#' comments are skipped).
+    DATAFILE is UTF-8 text with one observation per line, finite and > 0
+    as the Gamma null requires (blank lines and '#' comments are skipped).
     The sample is discordant when the add-one p-value is at most alpha
     (Phipson & Smyth 2010); the reported critical value is the null's
     1 - alpha quantile.  Exits 1 when the sample is discordant, 0 when
@@ -357,7 +359,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     if not 0.0 < alpha < 1.0:
         raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
     try:
-        text = Path(datafile).read_text()
+        text = Path(datafile).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {datafile}: {getattr(exc, 'strerror', None) or exc}")
     values = []

@@ -20,12 +20,9 @@ from scipy import special
 __all__ = [
     "GammaParams",
     "RngStream",
-    "log_gamma",
     "gamma_pdf",
     "gamma_cdf",
-    "gamma_sf",
     "gamma_quantile",
-    "gamma_sample",
 ]
 
 
@@ -76,10 +73,6 @@ class RngStream:
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, index: int) -> "RngStream":
-        """Stream with the same seed and a different index."""
-        return RngStream(self.seed, index)
-
 
 def _as_float_array(x):
     arr = np.asarray(x, dtype=float)
@@ -89,29 +82,6 @@ def _as_float_array(x):
 
 def _maybe_scalar(arr, scalar):
     return float(arr[0]) if scalar else arr
-
-
-def log_gamma(x):
-    """Natural log of the Gamma function, ``ln G(x)`` for ``x > 0``.
-
-    Parameters
-    ----------
-    x : float or array_like
-        Strictly positive argument(s).
-
-    Returns
-    -------
-    float or ndarray
-
-    Raises
-    ------
-    ValueError
-        If any argument is not strictly positive (or not finite).
-    """
-    arr, scalar = _as_float_array(x)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError("log_gamma requires finite x > 0")
-    return _maybe_scalar(special.gammaln(arr), scalar)
 
 
 def gamma_pdf(x, params: GammaParams):
@@ -160,21 +130,6 @@ def gamma_cdf(x, params: GammaParams):
     return _maybe_scalar(out, scalar)
 
 
-def gamma_sf(x, params: GammaParams):
-    """Survival function ``1 - cdf``, computed without cancellation.
-
-    Uses the regularized upper incomplete gamma ``Q(m, x/sigma)``, so it
-    stays accurate deep in the right tail where ``1 - cdf`` would lose
-    all precision.
-    """
-    arr, scalar = _as_float_array(x)
-    out = np.ones_like(arr)
-    pos = arr > 0
-    if np.any(pos):
-        out[pos] = special.gammaincc(params.m, arr[pos] / params.sigma)
-    return _maybe_scalar(out, scalar)
-
-
 def gamma_quantile(q, params: GammaParams):
     """Quantile function: the ``x`` with ``gamma_cdf(x, params) == q``.
 
@@ -193,30 +148,3 @@ def gamma_quantile(q, params: GammaParams):
         raise ValueError("gamma_quantile requires 0 <= q < 1")
     out = special.gammaincinv(params.m, arr) * params.sigma
     return _maybe_scalar(np.atleast_1d(out), scalar)
-
-
-def gamma_sample(stream: RngStream, params: GammaParams, count: int) -> np.ndarray:
-    """Draw ``count`` iid ``Gamma(m, sigma)`` variates from ``stream``.
-
-    The draw depends only on ``(stream.seed, stream.stream_index,
-    params, count)``: re-running with the same inputs reproduces the
-    same array bit for bit.
-
-    Parameters
-    ----------
-    stream : RngStream
-    params : GammaParams
-    count : int
-        Number of variates, at least 1.
-
-    Returns
-    -------
-    ndarray
-        Shape ``(count,)``, all values strictly positive.
-    """
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise TypeError(f"count must be an integer, got {count!r}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    gen = stream.generator()
-    return gen.gamma(shape=params.m, scale=params.sigma, size=count)

@@ -1,9 +1,10 @@
-"""Goodness-of-fit instruments: ECDF, Kolmogorov-Smirnov, histograms.
+"""Goodness-of-fit instruments: Kolmogorov-Smirnov and histograms.
 
 The KS test here is one-sample against a fully specified continuous
 cdf, with the asymptotic Kolmogorov p-value (small-sample correction
-folded into the argument).  The reference cdf of a spacing law comes
-from ``spacings.spacing_law``.
+folded into the argument).  The cdf is called once on the whole sorted
+sample and must return one value per point; the reference cdf of a
+spacing law comes from ``spacings.spacing_law``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from scipy import special
 __all__ = [
     "KsResult",
     "Histogram",
-    "ecdf",
     "ks_statistic",
     "ks_pvalue",
     "ks_test",
@@ -68,33 +68,18 @@ def _sorted_sample(sample) -> np.ndarray:
     return arr
 
 
-def ecdf(sample, x):
-    """Empirical cdf of a sorted ``sample`` evaluated at ``x``.
-
-    Right-continuous step function: ``#{s_i <= x} / N``.
-    """
-    arr = _sorted_sample(sample)
-    xq = np.asarray(x, dtype=float)
-    scalar = xq.ndim == 0
-    out = np.searchsorted(arr, np.atleast_1d(xq), side="right") / arr.size
-    return float(out[0]) if scalar else out
-
-
 def ks_statistic(sample, cdf) -> float:
     """One-sample KS distance between a sorted sample and ``cdf``.
 
         D = max_i max(i/N - F(x_(i)), F(x_(i)) - (i-1)/N)
 
-    ``cdf`` is called once with the whole sample array (or per point if
-    it only handles scalars) and must return values in ``[0, 1]``.
+    ``cdf`` is called once with the whole sample array and must return
+    one value in ``[0, 1]`` per sample point.
     """
     arr = _sorted_sample(sample)
-    try:
-        f = np.asarray(cdf(arr), dtype=float)
-        if f.shape != arr.shape:
-            raise TypeError
-    except TypeError:
-        f = np.array([float(cdf(v)) for v in arr])
+    f = np.asarray(cdf(arr), dtype=float)
+    if f.shape != arr.shape:
+        raise ValueError(f"cdf returned shape {f.shape} for a sample of shape {arr.shape}")
     if np.any(f < 0) or np.any(f > 1) or not np.all(np.isfinite(f)):
         raise ValueError("cdf values must lie in [0, 1]")
     n = arr.size

@@ -624,14 +624,14 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
     return SpacingLaw(route, m, lambda y: spacing_pdf_numeric(idx, params, y, tol), cdf)
 
 
-def density_curve(law, y_max, points) -> DensityCurve:
-    """Tabulate a density on a uniform grid ``[0, y_max]``.
+def density_curve(law: SpacingLaw, y_max, points) -> DensityCurve:
+    """Tabulate a spacing law's density on a uniform grid ``[0, y_max]``.
 
     Parameters
     ----------
-    law : SpacingLaw or callable
-        Its ``pdf`` (or the callable itself) maps a grid to values >= 0.
-        At ``law.m < 1`` (unbounded at 0) the grid starts half a step in.
+    law : SpacingLaw
+        From ``spacing_law``; its ``pdf`` is evaluated on the grid.  At
+        ``law.m < 1`` (unbounded at 0) the grid starts half a step in.
     y_max : float
         Right endpoint, > 0.
     points : int
@@ -653,15 +653,10 @@ def density_curve(law, y_max, points) -> DensityCurve:
         raise TypeError(f"points must be an integer, got {points!r}")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    is_law = isinstance(law, SpacingLaw)
     grid = np.linspace(0.0, y_max, int(points))
-    if is_law and law.m < 1:
+    if law.m < 1:
         grid[0] = grid[1] / 2.0
-    values = np.asarray((law.pdf if is_law else law)(grid), dtype=float)
-    if values.shape != grid.shape:
-        raise ValueError("pdf callable must return one value per grid point")
-    mass = 1.0
-    if is_law and law.m < 1:
-        mass = float(law.cdf(grid[-1]) - law.cdf(grid[0]))
+    values = law.pdf(grid)
+    mass = 1.0 if law.m >= 1 else float(law.cdf(grid[-1]) - law.cdf(grid[0]))
     err = abs(float(np.trapezoid(values, grid)) - mass)
     return DensityCurve(grid=grid, values=values, normalization_error=err)

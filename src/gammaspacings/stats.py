@@ -4,21 +4,20 @@
 ``sum_j (n-j+1) Y_j`` carried by the top ``k`` spacings.  ``dixon_dk``
 is the classical gap ratio ``(X_(n) - X_(n-k)) / (X_(n) - X_(1))``;
 ``dixon_dk_refuted`` is the variant normalized by ``X_(n)`` alone,
-kept only to demonstrate that it is not location invariant.
+kept only to demonstrate that it is not location invariant.  Each takes
+a 1-D array of at least two finite observations, in any order, and an
+integer ``k``; ``REDUCTIONS`` holds the row-wise forms that the Monte
+Carlo engine and the CLI share.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DegenerateSampleError",
-    "SampleData",
-    "StatisticConfig",
-    "spacings_from_sample",
     "z_k",
     "z_k_telescoped",
     "dixon_dk",
@@ -30,64 +29,24 @@ class DegenerateSampleError(ValueError):
     """The statistic's denominator is zero (all observations equal)."""
 
 
-@dataclass(frozen=True, eq=False)
-class SampleData:
-    """Validated observation vector: 1-D, finite, length >= 2."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError(f"values must be 1-D, got ndim={values.ndim}")
-        if values.size < 2:
-            raise ValueError(f"need at least 2 observations, got {values.size}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must all be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class StatisticConfig:
-    """Number of suspected upper outliers, ``k >= 1``."""
-
-    k: int
-
-    def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise TypeError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
-
-
 def _sorted_values(data) -> np.ndarray:
-    if not isinstance(data, SampleData):
-        data = SampleData(np.asarray(data))
-    return np.sort(data.values)
+    """``data`` sorted, after checking it is 1-D, finite and of length >= 2."""
+    values = np.asarray(data, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"values must be 1-D, got ndim={values.ndim}")
+    if values.size < 2:
+        raise ValueError(f"need at least 2 observations, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must all be finite")
+    return np.sort(values)
 
 
 def _check_k(k, n, upper) -> int:
-    if isinstance(k, StatisticConfig):
-        k = k.k
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise TypeError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= upper:
         raise ValueError(f"k must satisfy 1 <= k <= {upper} for n={n}, got {k}")
     return int(k)
-
-
-def spacings_from_sample(data) -> np.ndarray:
-    """Consecutive spacings ``Y_j = X_(j) - X_(j-1)``, ``j = 2..n``.
-
-    Returns an array of length ``n - 1``; entries are >= 0 and sum to
-    the sample range.
-    """
-    return np.diff(_sorted_values(data))
 
 
 def _in_range(xs: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -533,6 +534,68 @@ def test_discordancy_test_near_overflow_matches_rescaled_data(runner):
             reports.append(json.loads(result.output))
         assert reports[0] == reports[1]
         assert reports[0]["statistic"] == 7.0 / 27.0 and reports[0]["p_value"] < 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(st.floats(1.0, 2.0**64), min_size=3, max_size=8),
+       stat=st.sampled_from(["zk", "dk"]), data=st.data())
+def test_discordancy_test_is_invariant_under_power_of_two_scaling(values, stat, data):
+    # from just above the subnormal range (every spacing stays normal) up
+    # to the largest power that keeps the maximum finite, which covers
+    # the band where the statistics rescale rows near overflow
+    e_lo = -961 - math.frexp(min(values))[1]
+    e_hi = 1024 - math.frexp(max(values))[1]
+    assert math.ldexp(min(values), e_lo) >= np.finfo(float).tiny * 2.0**60
+    assert math.isfinite(math.ldexp(max(values), e_hi))
+    e = data.draw(st.one_of(st.sampled_from([e_lo, e_hi]), st.integers(e_lo, e_hi)))
+    k = data.draw(st.integers(1, len(values) - 2))
+    runner = CliRunner()
+    results = []
+    with runner.isolated_filesystem():
+        for scale in (0, e):
+            Path("data.txt").write_text("".join(f"{math.ldexp(v, scale)!r}\n" for v in values))
+            result = runner.invoke(main, ["test", "data.txt", "--k", str(k), "--m", "2",
+                                          "--stat", stat, "--reps", "60", "--seed", "3"])
+            assert result.exit_code in (0, 1, 2), result.output
+            results.append((result.exit_code, result.output))
+    assert results[0] == results[1]
+
+
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _run_cli(cwd, args, **env):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "gammaspacings.cli", *args], cwd=cwd,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src, **env})
+
+
+def test_discordancy_test_reads_a_utf8_datafile_in_the_c_locale(tmp_path):
+    (tmp_path / "cafe.txt").write_bytes("# café\n1.0\n2.0\n3.5\n9.0\n".encode())
+    args = ["test", "cafe.txt", "--k", "1", "--m", "2", "--reps", "200", "--seed", "1"]
+    utf8 = _run_cli(tmp_path, args, PYTHONUTF8="1")
+    c = _run_cli(tmp_path, args, **C_LOCALE)
+    assert utf8.returncode in (0, 1), utf8.stderr
+    assert (c.returncode, c.stdout, c.stderr) == (utf8.returncode, utf8.stdout, b"")
+
+
+def test_density_output_stem_in_the_c_locale_exits_two(tmp_path):
+    # the C locale decodes the stem's UTF-8 bytes to lone surrogates,
+    # which a UTF-8 file cannot hold; a UTF-8 locale writes them as is
+    args = ["density", "--m", "2", "--points", "5", "--output", "café"]
+    c = _run_cli(tmp_path, args, **C_LOCALE)
+    assert c.returncode == 2
+    assert c.stderr.startswith(b"Error: cannot write caf") and b"Traceback" not in c.stderr
+    utf8 = _run_cli(tmp_path, args, PYTHONUTF8="1")
+    assert utf8.returncode == 0, utf8.stderr
+    assert "# output: café\n".encode() in (tmp_path / "café_exact.csv").read_bytes()
+
+
+def test_output_stem_with_an_undecodable_byte_exits_two(tmp_path):
+    done = _run_cli(tmp_path, ["density", "--m", "2", "--points", "5", "--output", b"x\xff"],
+                    PYTHONUTF8="1")
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"Error: cannot write x") and b"Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("command", [

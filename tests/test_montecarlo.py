@@ -53,15 +53,12 @@ def test_empirical_sample_validation():
     cfg = SimulationConfig(n=2, m=1.0, reps=3, seed=1)
     with pytest.raises(ValueError):
         EmpiricalSample(values=np.array([1.0, 2.0]), config=cfg, statistic_name="y2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sorted"):
         EmpiricalSample(values=np.array([2.0, 1.0, 3.0]), config=cfg,
                         statistic_name="y2")
     with pytest.raises(ValueError):
         EmpiricalSample(values=np.array([1.0, 2.0, np.inf]), config=cfg,
                         statistic_name="y2")
-    unsorted = EmpiricalSample(values=np.array([2.0, 1.0, 3.0]), config=cfg,
-                               statistic_name="y2", sorted=False)
-    assert not unsorted.sorted
 
 
 def test_simulate_spacing_basic_contract():
@@ -210,14 +207,6 @@ def test_critical_value_index_convention():
         critical_value(sample, 0.0)
     with pytest.raises(ValueError):
         critical_value(sample, 1.0)
-
-
-def test_critical_value_requires_finalized_sample():
-    cfg = SimulationConfig(n=2, m=1.0, reps=3, seed=1, k=1)
-    raw = EmpiricalSample(values=np.array([3.0, 1.0, 2.0]), config=cfg,
-                          statistic_name="zk", sorted=False)
-    with pytest.raises(ValueError):
-        critical_value(raw, 0.1)
 
 
 def test_critical_value_two_seed_stability():

@@ -256,23 +256,25 @@ def test_claimed_yj_validation():
 
 
 def test_density_curve_normalization_and_endpoints():
-    curve = density_curve(lambda g: y2_pdf_exact(1, g), 10.0, 101)
+    curve = density_curve(spacing_law(2, 2, 1), 10.0, 101)
     assert curve.normalization_error < 1e-3
-    exact2 = density_curve(lambda g: y2_pdf_exact(2, g), 8.0, 200)
+    exact2 = density_curve(spacing_law(2, 2, 2), 8.0, 200)
     assert exact2.values[0] == 0.5
-    claimed2 = density_curve(lambda g: claimed_pdf_yj(2, 2, 2.0, g), 8.0, 200)
+    claimed2 = density_curve(spacing_law(2, 2, 2, "claimed"), 8.0, 200)
     assert claimed2.values[0] == 0.0
 
 
 def test_density_curve_validation():
+    law = spacing_law(2, 2, 1)
     with pytest.raises(ValueError):
-        density_curve(lambda g: np.ones_like(g), 0.0, 10)
+        density_curve(law, 0.0, 10)
     with pytest.raises(ValueError):
-        density_curve(lambda g: np.ones_like(g), 5.0, 1)
+        density_curve(law, 5.0, 1)
+    grid = np.linspace(0.0, 5.0, 10)
     with pytest.raises(ValueError):
-        density_curve(lambda g: np.ones(3), 5.0, 10)
+        DensityCurve(grid=grid, values=np.ones(3), normalization_error=0.0)
     with pytest.raises(ValueError):
-        density_curve(lambda g: -np.ones_like(g), 5.0, 10)
+        DensityCurve(grid=grid, values=-np.ones_like(grid), normalization_error=0.0)
 
 
 def test_density_curve_type_invariants():

@@ -6,11 +6,8 @@ from numpy.testing import assert_allclose
 
 from gammaspacings import (
     DegenerateSampleError,
-    SampleData,
-    StatisticConfig,
     dixon_dk,
     dixon_dk_refuted,
-    spacings_from_sample,
     z_k,
     z_k_telescoped,
 )
@@ -19,35 +16,18 @@ from gammaspacings.stats import REDUCTIONS
 
 def test_sample_data_validation():
     with pytest.raises(ValueError):
-        SampleData(np.array([1.0]))
+        z_k(np.array([1.0]), 1)
     with pytest.raises(ValueError):
-        SampleData(np.array([1.0, np.inf]))
+        z_k(np.array([1.0, np.inf]), 1)
     with pytest.raises(ValueError):
-        SampleData(np.ones((2, 2)))
-    data = SampleData(np.array([3.0, 1.0]))
-    assert data.n == 2
-
-
-def test_statistic_config_validation():
-    assert StatisticConfig(3).k == 3
-    with pytest.raises(ValueError):
-        StatisticConfig(0)
-    with pytest.raises(TypeError):
-        StatisticConfig(1.5)
-
-
-def test_spacings_from_sample():
-    assert list(spacings_from_sample([1.0, 2.0, 4.0])) == [1.0, 2.0]
-    assert list(spacings_from_sample([4.0, 1.0, 2.0])) == [1.0, 2.0]
-    assert list(spacings_from_sample([5.0, 5.0])) == [0.0]
-    out = spacings_from_sample(SampleData(np.array([2.0, 0.5, 9.0])))
-    assert np.all(out >= 0) and out.sum() == 8.5
+        z_k(np.ones((2, 2)), 1)
+    assert z_k(np.array([3.0, 1.0]), 1) == 1.0
 
 
 def test_z_k_hand_value():
     # numerator 1*Y_3 = 2; denominator 2*1 + 1*2 = 4
     assert z_k([1.0, 2.0, 4.0], 1) == 0.5
-    assert z_k(SampleData(np.array([1.0, 2.0, 4.0])), StatisticConfig(1)) == 0.5
+    assert z_k(np.array([4.0, 1.0, 2.0]), 1) == 0.5
 
 
 def test_z_k_full_range_is_exactly_one():
