@@ -4,16 +4,12 @@ of Gamma(m, 1).
 
 At b = 1 the rejection rate should sit at the nominal level; it climbs
 toward 1 as the contamination grows.  Each statistic's sweep is one
-call on the draws of SEED + 1, so the z_k and d_k columns are paired on
-the same samples and every row on the same draws.
+``simulate_power`` call that takes the plain factors b, scales the top
+``config.k`` draws and uses the draws of SEED + 1, so the z_k and d_k
+columns are paired on the same samples and every row on the same draws.
 """
 
-from gammaspacings import (
-    SimulationConfig,
-    SlippageAlternative,
-    simulate_power,
-    simulate_statistic,
-)
+from gammaspacings import SimulationConfig, simulate_power, simulate_statistic
 
 SEED = 1789
 N, M, K, ALPHA, REPS = 5, 1.0, 1, 0.05, 10**4
@@ -31,8 +27,7 @@ def main():
     }
     bs = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
     cfg = SimulationConfig(n=N, m=M, reps=REPS, seed=SEED + 1, k=K)
-    alternatives = [SlippageAlternative(b, K) for b in bs]
-    zk, dk = (simulate_power(cfg, alternatives, ALPHA, nulls[name])
+    zk, dk = (simulate_power(cfg, bs, ALPHA, nulls[name])
               for name in ("zk", "dk"))
     print(f"{'b':>6}  {'power zk':>9}  {'power dk':>9}")
     for b, p_zk, p_dk in zip(bs, zk, dk):

@@ -11,14 +11,20 @@ errors.  All simulation commands require ``--seed``; data files written
 with the same parameters and seed are byte-identical (timestamps live
 only in the ``<output>.manifest.json`` sidecar).
 
+Each input is checked once, before the first file is written: the
+library raises ``ValueError`` for what it uses, and ``_Group.invoke``
+turns that and its numeric failures into ``Error: <message>``, exit 2.
+
 Every file, manifests included, is rendered and written by ``_write``:
 each command only assembles its comment dict, columns and JSON document.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,7 +39,6 @@ from .montecarlo import (
     DegenerateDrawError,
     NonFiniteDrawError,
     SimulationConfig,
-    SlippageAlternative,
     critical_value,
     p_value,
     simulate_power,
@@ -41,11 +46,11 @@ from .montecarlo import (
     simulate_statistic,
 )
 from .spacings import QuadratureError, density_curve, spacing_law
-from .stats import REDUCTIONS, DegenerateSampleError
+from .stats import REDUCTIONS
 
 
 class CliError(click.ClickException):
-    """Runtime failure (IO, parsing, numerics); exits with status 2."""
+    """A rejected input or a runtime failure (IO, parsing, numerics); exit 2."""
 
     exit_code = 2
 
@@ -54,7 +59,7 @@ CHUNK = 4096  # CSV rows rendered per write
 
 
 def _write(path, fmt="json", doc=None, comments=None, columns=None):
-    """Render one output file straight into ``path`` and echo its name.
+    """Render one output file into ``path`` and echo its name.
 
     ``csv``: ``# key: value`` lines from ``comments``, a header of the
     ``columns`` names, then the rows, floats as shortest round-trip
@@ -62,13 +67,16 @@ def _write(path, fmt="json", doc=None, comments=None, columns=None):
     ``doc`` indented by 2, numpy arrays as lists, written by
     ``json.dump`` piece by piece as it is encoded.  Neither format holds
     the whole text in memory, so the writer's memory does not grow with
-    the row count.  Files are UTF-8 in any locale.  A failed open or
-    write, or text UTF-8 cannot encode (a lone surrogate from an
-    undecodable argument byte), raises ``CliError`` (exit 2) naming the
-    path.
+    the row count.  Files are UTF-8 in any locale, written to a sibling
+    temporary name that replaces ``path`` (or the file a symlink there
+    names) after the last write.  A failed open or write, or text UTF-8
+    cannot encode (a lone surrogate from an undecodable argument byte),
+    leaves ``path`` as it was and raises ``CliError`` (exit 2) naming it.
     """
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as out:
+        with open(tmp, "w", encoding="utf-8") as out:
             if fmt == "csv":
                 out.writelines(f"# {key}: {value}\n" for key, value in comments.items())
                 out.write(",".join(columns) + "\n")
@@ -79,8 +87,12 @@ def _write(path, fmt="json", doc=None, comments=None, columns=None):
             else:
                 json.dump(doc, out, indent=2, default=np.ndarray.tolist)
                 out.write("\n")
+        os.replace(tmp, target)
     except (OSError, UnicodeEncodeError) as exc:
         raise CliError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}")
+    finally:
+        with contextlib.suppress(OSError):  # gone already after the replace
+            os.remove(tmp)
     click.echo(f"wrote {path}")
 
 
@@ -117,18 +129,11 @@ def _check_stat_k(k, n):
                                f"run (at k = n-1 the statistic is identically 1), got {k}")
 
 
-def _config(**kwargs):
-    try:
-        return SimulationConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-
-
 class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (DegenerateDrawError, DegenerateSampleError, NonFiniteDrawError,
+        except (ValueError, DegenerateDrawError, NonFiniteDrawError,
                 QuadratureError) as exc:
             raise CliError(str(exc))
 
@@ -161,14 +166,11 @@ def main():
               help="Output stem; one file per curve plus a manifest.")
 def density(m, n, j, which, ymax, points, tol, fmt, output):
     """Tabulate spacing density curves on a uniform grid."""
-    try:
-        laws = [spacing_law(n, j, m, route, tol)
-                for route in (["auto", "claimed"] if which == "all" else [which])]
-        if ymax is None:
-            ymax = math.ceil(float(gamma_quantile(0.9999, GammaParams(m, 1.0))) * 10) / 10
-        curves = [density_curve(law, ymax, points) for law in laws]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    laws = [spacing_law(n, j, m, route, tol)
+            for route in (["auto", "claimed"] if which == "all" else [which])]
+    if ymax is None:
+        ymax = math.ceil(float(gamma_quantile(0.9999, GammaParams(m, 1.0))) * 10) / 10
+    curves = [density_curve(law, ymax, points) for law in laws]
     params = {"m": m, "n": n, "j": j, "which": which, "ymax": ymax,
               "points": points, "tol": tol, "format": fmt, "output": output}
     for law, curve in zip(laws, curves):
@@ -195,7 +197,7 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
 @click.option("--seed", type=int, required=True, help="RNG seed (required).")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker threads; results are identical for any count.")
-@click.option("--bins", type=int, default=None,
+@click.option("--bins", type=click.IntRange(min=1), default=None,
               help="Also write an area-normalized histogram with this many bins.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
@@ -208,13 +210,9 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
         raise click.UsageError("--stat requires --k")
     if j is not None and k is not None:
         raise click.UsageError("--k applies only to --stat runs")
-    if j is not None and not 2 <= j <= n:
-        raise click.UsageError(f"--j must satisfy 2 <= j <= n, got j={j}, n={n}")
-    if bins is not None and bins < 1:
-        raise click.UsageError(f"--bins must be >= 1, got {bins}")
     if stat is not None:
         _check_stat_k(k, n)
-    cfg = _config(n=n, m=m, sigma=sigma, reps=reps, seed=seed, k=k)
+    cfg = SimulationConfig(n=n, m=m, sigma=sigma, reps=reps, seed=seed, k=k)
     if j is not None:
         sample = simulate_spacing(cfg, j, workers=workers)
     else:
@@ -248,7 +246,8 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
 @click.option("--seed", type=int, required=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True,
               help="KS rejection level.")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker threads; results are identical for any count.")
 @click.option("--output", type=click.Path(), default="validate", show_default=True)
 def validate(m_list, n, j, reps, seed, alpha, workers, output):
     """KS-test simulated spacings against the true and the claimed law.
@@ -262,11 +261,9 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
     shapes = _parse_float_list(m_list, "--m")
     if not 0.0 < alpha < 1.0:
         raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
-    if not 2 <= j <= n:
-        raise click.UsageError(f"--j must satisfy 2 <= j <= n, got j={j}, n={n}")
     rows = []
     for m in shapes:
-        cfg = _config(n=n, m=m, reps=reps, seed=seed)
+        cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed)
         truth, claim = spacing_law(n, j, m), spacing_law(n, j, m, "claimed")
         sample = simulate_spacing(cfg, j, workers=workers)
         ks_truth = ks_test(sample.values, truth.cdf)
@@ -306,7 +303,8 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
               show_default=True, help="Comma-separated levels.")
 @click.option("--reps", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker threads; results are identical for any count.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--output", type=click.Path(), default="critical_values",
@@ -314,11 +312,8 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
 def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output):
     """Tabulate empirical critical values of a statistic's null."""
     alphas = _parse_float_list(alpha_list, "--alpha")
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise click.UsageError(f"--alpha values must be in (0, 1), got {a}")
     _check_stat_k(k, n)
-    cfg = _config(n=n, m=m, reps=reps, seed=seed, k=k)
+    cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     sample = simulate_statistic(cfg, stat, workers=workers)
     crits = [critical_value(sample, a) for a in alphas]
     params = {"n": n, "m": m, "k": k, "stat": stat, "alpha": alpha_list,
@@ -342,7 +337,8 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--reps", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker threads; results are identical for any count.")
 @click.option("--output", type=click.Path(), default=None,
               help="Also write the JSON report (plus manifest) to this stem.")
 @click.pass_context
@@ -356,8 +352,6 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     1 - alpha quantile.  Exits 1 when the sample is discordant, 0 when
     it is not, 2 on errors.
     """
-    if not 0.0 < alpha < 1.0:
-        raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
     try:
         text = Path(datafile).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -381,7 +375,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
         raise CliError(f"{datafile}: need at least 2 observations, got {len(values)}")
     n = len(values)
     _check_stat_k(k, n)
-    cfg = _config(n=n, m=m, reps=reps, seed=seed, k=k)
+    cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     observed = float(REDUCTIONS[stat](np.sort(values)[np.newaxis], k)[0])
     null = simulate_statistic(cfg, stat, workers=workers)
     crit = critical_value(null, alpha)
@@ -417,24 +411,19 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
 @click.option("--reps", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, required=True,
               help="RNG seed: null from seed, every sweep row from seed+1.")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker threads; results are identical for any count.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--output", type=click.Path(), default="power", show_default=True)
 def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
     """Estimate rejection rates under scale slippage of the top k values."""
     bs = _parse_float_list(b_list, "--b")
-    for b in bs:
-        if not (math.isfinite(b) and b >= 1.0):
-            raise click.UsageError(f"--b values must be finite and >= 1, got {b}")
-    if not 0.0 < alpha < 1.0:
-        raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
     _check_stat_k(k, n)
-    null_cfg = _config(n=n, m=m, reps=reps, seed=seed, k=k)
+    null_cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     null = simulate_statistic(null_cfg, stat, workers=workers)
-    alt_cfg = _config(n=n, m=m, reps=reps, seed=(seed + 1) % 2**64, k=k)
-    powers = simulate_power(alt_cfg, [SlippageAlternative(b, k) for b in bs], alpha, null,
-                            workers=workers)
+    alt_cfg = SimulationConfig(n=n, m=m, reps=reps, seed=(seed + 1) % 2**64, k=k)
+    powers = simulate_power(alt_cfg, bs, alpha, null, workers=workers)
     ses = [math.sqrt(p * (1.0 - p) / reps) for p in powers]
     params = {"n": n, "m": m, "k": k, "b": b_list, "stat": stat, "alpha": alpha,
               "reps": reps, "seed": seed, "format": fmt, "output": output}

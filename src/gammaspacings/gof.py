@@ -57,17 +57,6 @@ class Histogram:
         object.__setattr__(self, "count", int(self.count))
 
 
-def _sorted_sample(sample) -> np.ndarray:
-    arr = np.asarray(sample, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("sample must be a nonempty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample must be finite")
-    if np.any(np.diff(arr) < 0):
-        raise ValueError("sample must be sorted ascending")
-    return arr
-
-
 def ks_statistic(sample, cdf) -> float:
     """One-sample KS distance between a sorted sample and ``cdf``.
 
@@ -76,7 +65,13 @@ def ks_statistic(sample, cdf) -> float:
     ``cdf`` is called once with the whole sample array and must return
     one value in ``[0, 1]`` per sample point.
     """
-    arr = _sorted_sample(sample)
+    arr = np.asarray(sample, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("sample must be a nonempty 1-D array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sample must be finite")
+    if np.any(np.diff(arr) < 0):
+        raise ValueError("sample must be sorted ascending")
     f = np.asarray(cdf(arr), dtype=float)
     if f.shape != arr.shape:
         raise ValueError(f"cdf returned shape {f.shape} for a sample of shape {arr.shape}")
@@ -116,9 +111,9 @@ def ks_pvalue(statistic, sample_size) -> float:
 
 def ks_test(sample, cdf) -> KsResult:
     """KS statistic and p-value in one call."""
-    arr = _sorted_sample(sample)
-    d = ks_statistic(arr, cdf)
-    return KsResult(statistic=d, p_value=ks_pvalue(d, arr.size), sample_size=arr.size)
+    d = ks_statistic(sample, cdf)  # checks that the sample is 1-D
+    size = len(sample)
+    return KsResult(statistic=d, p_value=ks_pvalue(d, size), sample_size=size)
 
 
 def histogram(sample, bins, range=None) -> Histogram:

@@ -5,7 +5,8 @@ replications ``[b * BLOCK, (b + 1) * BLOCK)`` and draws them, row by
 row, from the counter-based substream ``(seed, b)``.  A run is
 therefore reproducible bit for bit regardless of execution order or
 the number of workers, and any block can be regenerated in isolation.
-A power sweep draws each block once and evaluates every slippage
+A power sweep takes plain slippage factors ``b >= 1``, which scale the
+top ``config.k`` draws; it draws each block once and evaluates every
 factor on those draws (common random numbers), so each factor's rate
 is the one a run with that factor alone gives.
 ``STREAM_LAYOUT`` names this layout; it changes whenever the mapping
@@ -21,7 +22,8 @@ invariant, which is what makes the stored ``sigma`` metadata only.
 An ``EmpiricalSample`` holds the sorted values and their config (it
 rejects unsorted values, so ``critical_value``, ``p_value`` and the
 power threshold read ranks off it directly); the CLI's one writer
-renders it as CSV or JSON.
+renders it as CSV or JSON.  Each input is checked once, by the function
+that uses it, and a rejected one raises ``ValueError`` (CLI exit 2).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gamma import GammaParams, RngStream
+from .spacings import SpacingIndex
 from .stats import REDUCTIONS
 
 __all__ = [
@@ -43,7 +46,6 @@ __all__ = [
     "NonFiniteDrawError",
     "SimulationConfig",
     "EmpiricalSample",
-    "SlippageAlternative",
     "simulate_spacing",
     "simulate_statistic",
     "critical_value",
@@ -147,29 +149,6 @@ class EmpiricalSample:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class SlippageAlternative:
-    """Scale-slippage contamination: ``count`` of the ``n`` draws come
-    from ``Gamma(m, b * sigma)`` with ``b >= 1``; ``b == 1`` recovers
-    the null."""
-
-    b: float
-    contaminated_count: int = 1
-
-    def __post_init__(self):
-        if isinstance(self.b, bool) or not isinstance(self.b, numbers.Real):
-            raise TypeError(f"b must be a real number, got {self.b!r}")
-        if not math.isfinite(self.b) or self.b < 1.0:
-            raise ValueError(f"b must be finite and >= 1, got {self.b!r}")
-        object.__setattr__(self, "b", float(self.b))
-        count = self.contaminated_count
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise TypeError(f"contaminated_count must be an integer, got {count!r}")
-        if count < 1:
-            raise ValueError(f"contaminated_count must be >= 1, got {count}")
-        object.__setattr__(self, "contaminated_count", int(count))
-
-
 def _check_workers(workers) -> int:
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
         raise TypeError(f"workers must be an integer, got {workers!r}")
@@ -244,8 +223,6 @@ def simulate_spacing(config: SimulationConfig, j, workers=1) -> EmpiricalSample:
     Each replication sorts ``n`` draws and records ``X_(j) - X_(j-1)``.
     Returns the sorted sample.
     """
-    from .spacings import SpacingIndex
-
     idx = SpacingIndex.consecutive(config.n, j)
     values = _simulate(
         config,
@@ -333,25 +310,21 @@ def _rejection_threshold(sample: EmpiricalSample, alpha) -> float:
     return float(sample.values[reps - allowed]) if allowed else math.inf
 
 
-def simulate_power(
-    config: SimulationConfig,
-    alternatives,
-    alpha,
-    null_sample: EmpiricalSample,
-    workers=1,
-) -> list[float]:
-    """Rejection rate under each scale-slippage alternative, against a
-    simulated null.
+def simulate_power(config: SimulationConfig, bs, alpha, null_sample: EmpiricalSample,
+                   workers=1) -> list[float]:
+    """Rejection rate under each scale-slippage factor in ``bs``, against
+    a simulated null.
 
+    Under slippage factor ``b >= 1`` the top ``config.k`` of the ``n``
+    draws come from ``Gamma(m, b * sigma)``; ``b == 1`` recovers the null.
     The statistic is taken from ``null_sample.statistic_name``.  Each
-    replication draws ``n`` unit-scale variates once; for each
-    alternative it multiplies the last ``contaminated_count`` of them by
-    that alternative's ``b`` and rejects when the statistic's add-one
-    p-value against ``null_sample`` is at most ``alpha`` (Phipson &
-    Smyth 2010), the decision ``test`` makes.  The alternatives thus
-    share their draws (common random numbers): each rate keeps its own
-    binomial law, and rate ``i`` is bit for bit that of a call with
-    ``[alternatives[i]]`` alone, while differences between rates vary
+    replication draws ``n`` unit-scale variates once; for each factor it
+    multiplies the last ``config.k`` of them by ``b`` and rejects when the
+    statistic's add-one p-value against ``null_sample`` is at most
+    ``alpha`` (Phipson & Smyth 2010), the decision ``test`` makes.  The
+    factors thus share their draws (common random numbers): each rate
+    keeps its own binomial law, and rate ``i`` is bit for bit that of a
+    call with ``[bs[i]]`` alone, while differences between rates vary
     less than with independent draws.  Each block is reduced to
     rejection flags, so no per-replication statistic is kept.
 
@@ -359,8 +332,10 @@ def simulate_power(
     ------
     ConfigMismatchError
         If the null sample is not a statistic null, or its ``n``/``m``/
-        ``k`` disagree with ``config``, or ``config.k`` differs from an
-        alternative's ``contaminated_count``.
+        ``k`` disagree with ``config``.
+    ValueError
+        If ``bs`` is empty or a factor is not finite and ``>= 1``, or
+        ``alpha`` is outside ``(0, 1)``.
     """
     which = null_sample.statistic_name
     if which not in REDUCTIONS:
@@ -369,17 +344,6 @@ def simulate_power(
         )
     if config.k is None:
         raise ValueError("config.k is required for power simulation")
-    alternatives = list(alternatives)
-    if not alternatives or not all(isinstance(alt, SlippageAlternative)
-                                   for alt in alternatives):
-        raise TypeError("alternatives must be a non-empty sequence of "
-                        f"SlippageAlternative, got {alternatives!r}")
-    for alt in alternatives:
-        if config.k != alt.contaminated_count:
-            raise ConfigMismatchError(
-                f"config.k={config.k} but an alternative contaminates "
-                f"{alt.contaminated_count} observations"
-            )
     null_cfg = null_sample.config
     if (config.n, config.m, config.k) != (null_cfg.n, null_cfg.m, null_cfg.k):
         raise ConfigMismatchError(
@@ -387,9 +351,13 @@ def simulate_power(
             f"(n={null_cfg.n}, m={null_cfg.m}, k={null_cfg.k}), "
             f"not (n={config.n}, m={config.m}, k={config.k})"
         )
+    bs = np.asarray(bs, dtype=float)
+    if bs.ndim != 1 or bs.size == 0 or not np.all(np.isfinite(bs) & (bs >= 1.0)):
+        raise ValueError("slippage factors must be a non-empty list of finite "
+                         f"values >= 1, got {bs.tolist()}")
     threshold = _rejection_threshold(null_sample, _check_alpha(alpha))
-    scales = np.ones((len(alternatives), config.n))
-    scales[:, config.n - config.k :] = [[alt.b] for alt in alternatives]
+    scales = np.ones((bs.size, config.n))
+    scales[:, config.n - config.k :] = bs[:, np.newaxis]
     stat = REDUCTIONS[which]
     flags = _simulate(config, lambda xs: stat(xs, config.k) > threshold, scales, workers)
     return flags.mean(axis=1).tolist()

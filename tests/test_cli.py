@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from gammaspacings import (
     SimulationConfig,
-    SlippageAlternative,
     claimed_pdf_yj,
     critical_value,
     density_curve,
@@ -515,7 +514,8 @@ def test_power_rejects_contraction(runner):
             result = runner.invoke(main, ["power", "--n", "5", "--m", "1", "--k", "1",
                                           "--b", b, "--seed", "1"])
             assert result.exit_code == 2, b
-            assert "--b values must be finite and >= 1" in result.output
+            assert "slippage factors must be a non-empty list of finite values >= 1" in (
+                result.output)
             assert list(Path(".").iterdir()) == []
 
 
@@ -586,9 +586,14 @@ def test_density_output_stem_in_the_c_locale_exits_two(tmp_path):
     c = _run_cli(tmp_path, args, **C_LOCALE)
     assert c.returncode == 2
     assert c.stderr.startswith(b"Error: cannot write caf") and b"Traceback" not in c.stderr
+    assert list(tmp_path.iterdir()) == []  # the failed write leaves no partial file
     utf8 = _run_cli(tmp_path, args, PYTHONUTF8="1")
     assert utf8.returncode == 0, utf8.stderr
-    assert "# output: café\n".encode() in (tmp_path / "café_exact.csv").read_bytes()
+    written = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    assert "# output: café\n".encode() in written[tmp_path / "café_exact.csv"]
+    # the same name under the C locale: a failed write keeps the existing file
+    assert _run_cli(tmp_path, args, **C_LOCALE).returncode == 2
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
 
 
 def test_output_stem_with_an_undecodable_byte_exits_two(tmp_path):
@@ -608,6 +613,17 @@ def test_write_failure_exits_two(runner, command):
         result = runner.invoke(main, command + ["--output", "nodir/x"])
         assert result.exit_code == 2
         assert "cannot write nodir/x" in result.output
+
+
+def test_write_goes_through_a_symlink(tmp_path):
+    # the temporary file replaces the symlink's target, not the symlink
+    (tmp_path / "data").mkdir()
+    link = tmp_path / "x.json"
+    link.symlink_to(tmp_path / "data" / "x.json")
+    cli._write(link, doc={"a": 1})
+    assert link.is_symlink()
+    assert (tmp_path / "data" / "x.json").read_text() == '{\n  "a": 1\n}\n'
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "x.json", "x.json"]
 
 
 @pytest.mark.parametrize("rows", [1, cli.CHUNK, cli.CHUNK + 1, 2 * cli.CHUNK + 1])
@@ -661,6 +677,42 @@ def test_workers_below_one_exits_two(runner, command):
                                                 "--workers", "0"])
         assert result.exit_code == 2
         assert "--workers" in result.output
+        assert "Traceback" not in result.output
+        assert sorted(p.name for p in Path(".").iterdir()) == ["data.txt"]
+
+
+@pytest.mark.parametrize("command, message", [
+    (["density", "--m", "2", "--j", "3"], "j must satisfy 2 <= j <= n, got j=3, n=2"),
+    (["simulate", "--n", "3", "--m", "2", "--j", "4", "--seed", "1"],
+     "j must satisfy 2 <= j <= n, got j=4, n=3"),
+    (["validate", "--n", "2", "--j", "3", "--seed", "1"],
+     "j must satisfy 2 <= j <= n, got j=3, n=2"),
+    (["critical-values", "--n", "5", "--m", "1", "--k", "1", "--alpha", "0.05,nan",
+      "--seed", "1"], "alpha must be in (0, 1), got nan"),
+    (["critical-values", "--n", "5", "--m", "1", "--k", "1", "--alpha", "1.5",
+      "--seed", "1"], "alpha must be in (0, 1), got 1.5"),
+    (["test", "data.txt", "--k", "1", "--m", "1", "--alpha", "nan", "--seed", "1"],
+     "alpha must be in (0, 1), got nan"),
+    *[(["power", "--n", "5", "--m", "1", "--k", "1", "--b", b, "--seed", "1"],
+       f"slippage factors must be a non-empty list of finite values >= 1, got {shown}")
+      for b, shown in [("0.5", "[0.5]"), ("nan", "[nan]"), ("inf", "[inf]"),
+                       ("1,-inf", "[1.0, -inf]")]],
+    (["power", "--n", "5", "--m", "1", "--k", "1", "--alpha", "0", "--seed", "1"],
+     "alpha must be in (0, 1), got 0.0"),
+    (["simulate", "--n", "3", "--m", "1", "--j", "2", "--bins", "0", "--seed", "1"],
+     "Invalid value for '--bins': 0 is not in the range x>=1"),
+], ids=["density-j", "simulate-j", "validate-j", "critical-values-alpha-nan",
+        "critical-values-alpha-1.5", "test-alpha-nan", "power-b-0.5", "power-b-nan",
+        "power-b-inf", "power-b-minus-inf", "power-alpha-0", "simulate-bins-0"])
+def test_rejected_input_exits_two_with_the_library_message(runner, command, message):
+    # the library checks these inputs; the CLI's one error path maps the
+    # ValueError to exit 2, and no file is written before it
+    reps = [] if command[0] == "density" else ["--reps", "50"]
+    with runner.isolated_filesystem():
+        Path("data.txt").write_text("1.1\n0.9\n1.0\n1.2\n50.0\n")
+        result = runner.invoke(main, command + reps)
+        assert result.exit_code == 2, result.output
+        assert f"Error: {message}" in result.output
         assert "Traceback" not in result.output
         assert sorted(p.name for p in Path(".").iterdir()) == ["data.txt"]
 
@@ -746,7 +798,7 @@ def _power_expected(fmt):
     null = simulate_statistic(SimulationConfig(n=6, m=2.0, reps=300, seed=4, k=1), "zk")
     bs = [1.0, 3.0]
     cfg = SimulationConfig(n=6, m=2.0, reps=300, seed=5, k=1)
-    powers = simulate_power(cfg, [SlippageAlternative(b, 1) for b in bs], 0.05, null)
+    powers = simulate_power(cfg, bs, 0.05, null)
     ses = [(p * (1.0 - p) / 300) ** 0.5 for p in powers]
     params = {"n": 6, "m": 2.0, "k": 1, "b": "1,3", "stat": "zk", "alpha": 0.05,
               "reps": 300, "seed": 4, "format": fmt, "output": "power"}

@@ -11,7 +11,6 @@ from gammaspacings import (
     DegenerateDrawError,
     EmpiricalSample,
     SimulationConfig,
-    SlippageAlternative,
     claimed_cdf_yj,
     critical_value,
     ks_test,
@@ -238,22 +237,11 @@ def test_p_value_of_critical_value_bound():
         assert p <= alpha + 2.0 / (1 + 4000)
 
 
-def test_slippage_alternative_validation():
-    alt = SlippageAlternative(1.0, 2)
-    assert alt.b == 1.0 and alt.contaminated_count == 2
-    with pytest.raises(ValueError):
-        SlippageAlternative(0.99, 1)
-    with pytest.raises(ValueError):
-        SlippageAlternative(2.0, 0)
-    with pytest.raises(TypeError):
-        SlippageAlternative(2.0, 1.5)
-
-
 def test_simulate_power_null_recovery():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1), "zk")
     est = simulate_power(
         SimulationConfig(n=5, m=1.0, reps=10**4, seed=22, k=1),
-        [SlippageAlternative(1.0 + 1e-9, 1)],
+        [1.0 + 1e-9],
         0.05,
         null,
     )[0]
@@ -264,7 +252,7 @@ def test_simulate_power_extreme_slippage():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1), "zk")
     est = simulate_power(
         SimulationConfig(n=5, m=1.0, reps=10**4, seed=22, k=1),
-        [SlippageAlternative(1000.0, 1)],
+        [1000.0],
         0.05,
         null,
     )[0]
@@ -275,7 +263,7 @@ def test_simulate_power_dominates_alpha_half():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1), "zk")
     est = simulate_power(
         SimulationConfig(n=5, m=1.0, reps=10**4, seed=22, k=1),
-        [SlippageAlternative(2.0, 1)],
+        [2.0],
         0.5,
         null,
     )[0]
@@ -291,28 +279,28 @@ def test_simulate_power_rejects_iff_p_at_most_alpha(alpha, seed, reps, which):
     cfg = SimulationConfig(n=6, m=2.0, reps=reps, seed=seed, k=2)
     drawn = simulate_statistic(cfg, which).values
     expected = np.mean([p_value(null, v) <= alpha for v in drawn])
-    assert simulate_power(cfg, [SlippageAlternative(1.0, 2)], alpha, null) == [expected]
+    assert simulate_power(cfg, [1.0], alpha, null) == [expected]
 
 
 def test_simulate_power_config_mismatches():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1), "zk")
     good = SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=1)
     with pytest.raises(ConfigMismatchError):
-        simulate_power(good, [SlippageAlternative(2.0, 2)], 0.05, null)
+        simulate_power(SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=2), [2.0], 0.05,
+                       null)
     with pytest.raises(ConfigMismatchError):
         simulate_power(SimulationConfig(n=6, m=1.0, reps=200, seed=2, k=1),
-                       [SlippageAlternative(2.0, 1)], 0.05, null)
+                       [2.0], 0.05, null)
     spacing_null = simulate_spacing(SimulationConfig(n=5, m=1.0, reps=200, seed=1), 2)
     with pytest.raises(ConfigMismatchError):
-        simulate_power(good, [SlippageAlternative(2.0, 1)], 0.05, spacing_null)
+        simulate_power(good, [2.0], 0.05, spacing_null)
 
 
 def test_simulate_power_worker_invariant():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=500, seed=1, k=1), "zk")
     cfg = SimulationConfig(n=5, m=1.0, reps=500, seed=2, k=1)
-    alt = [SlippageAlternative(2.0, 1)]
-    assert simulate_power(cfg, alt, 0.05, null) == simulate_power(
-        cfg, alt, 0.05, null, workers=4
+    assert simulate_power(cfg, [2.0], 0.05, null) == simulate_power(
+        cfg, [2.0], 0.05, null, workers=4
     )
 
 
@@ -324,9 +312,8 @@ def test_simulate_power_worker_invariant():
 def test_power_sweep_row_equals_its_one_alternative_run(bs, seed, reps, m, which):
     null = simulate_statistic(SimulationConfig(n=3, m=m, reps=200, seed=1, k=1), which)
     cfg = SimulationConfig(n=3, m=m, reps=reps, seed=seed, k=1)
-    sweep = simulate_power(cfg, [SlippageAlternative(b, 1) for b in bs], 0.05, null)
-    assert sweep == [simulate_power(cfg, [SlippageAlternative(b, 1)], 0.05, null)[0]
-                     for b in bs]
+    sweep = simulate_power(cfg, bs, 0.05, null)
+    assert sweep == [simulate_power(cfg, [b], 0.05, null)[0] for b in bs]
 
 
 @pytest.mark.parametrize("m", [0.002, 1e31])
@@ -347,18 +334,15 @@ def test_each_scale_replays_the_blocks_redraws(m):
 def test_power_sweep_worker_invariant():
     null = simulate_statistic(SimulationConfig(n=6, m=2.0, reps=500, seed=1, k=2), "dk")
     cfg = SimulationConfig(n=6, m=2.0, reps=2 * BLOCK + 7, seed=2, k=2)
-    alts = [SlippageAlternative(b, 2) for b in (1.0, 1.5, 3.0)]
-    sweep = simulate_power(cfg, alts, 0.05, null)
-    assert sweep == simulate_power(cfg, alts, 0.05, null, workers=4)
+    bs = [1.0, 1.5, 3.0]
+    sweep = simulate_power(cfg, bs, 0.05, null)
+    assert sweep == simulate_power(cfg, bs, 0.05, null, workers=4)
     assert sweep[0] < sweep[1] < sweep[2]
 
 
-def test_power_sweep_checks_every_alternative():
+def test_simulate_power_rejects_bad_slippage_factors():
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1), "zk")
     cfg = SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=1)
-    with pytest.raises(ConfigMismatchError):
-        simulate_power(cfg, [SlippageAlternative(2.0, 1), SlippageAlternative(2.0, 2)],
-                       0.05, null)
-    for bad in ([], SlippageAlternative(2.0, 1), [2.0]):
-        with pytest.raises(TypeError):
-            simulate_power(cfg, bad, 0.05, null)
+    for bs in ([], [0.99], [2.0, math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="slippage factors must be a non-empty list"):
+            simulate_power(cfg, bs, 0.05, null)
