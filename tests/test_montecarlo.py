@@ -340,9 +340,19 @@ def test_power_sweep_worker_invariant():
     assert sweep[0] < sweep[1] < sweep[2]
 
 
-def test_simulate_power_rejects_bad_slippage_factors():
+def test_slippage_alternative_validation():
+    # A slippage factor is finite and >= 1; 1 itself is the null.
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1), "zk")
     cfg = SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=1)
-    for bs in ([], [0.99], [2.0, math.nan], [math.inf]):
+    assert len(simulate_power(cfg, [1.0], 0.05, null)) == 1
+    for b in (0.99, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="slippage factors must be a non-empty list"):
+            simulate_power(cfg, [b], 0.05, null)
+
+
+def test_power_sweep_checks_every_alternative():
+    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1), "zk")
+    cfg = SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=1)
+    for bs in ([], [0.99, 2.0], [2.0, math.nan], [2.0, 3.0, math.inf], [[2.0, 3.0]]):
         with pytest.raises(ValueError, match="slippage factors must be a non-empty list"):
             simulate_power(cfg, bs, 0.05, null)
