@@ -10,7 +10,7 @@ for every m > 1.
 
 import numpy as np
 
-from gammaspacings import claimed_pdf_yj, y2_mixture, y2_pdf_exact
+from gammaspacings import spacing_law, y2_mixture
 
 
 def describe(m):
@@ -20,19 +20,17 @@ def describe(m):
     print(f"  true law = mixture of Gamma(i+1, 1), i = 0..{m - 1}")
     print(f"  weights  = [{weights}]")
 
+    true, assumed = spacing_law(2, 2, m).pdf, spacing_law(2, 2, m, "claimed").pdf
     grid = np.linspace(0.0, 12.0, 241)
-    true_pdf = y2_pdf_exact(m, grid)
-    assumed_pdf = claimed_pdf_yj(2, 2, float(m), grid)
-    gap = np.abs(true_pdf - assumed_pdf)
+    gap = np.abs(true(grid) - assumed(grid))
     at = grid[np.argmax(gap)]
-    print(f"  true density at 0      = {y2_pdf_exact(m, 0.0):.6f}")
-    print(f"  assumed density at 0   = {claimed_pdf_yj(2, 2, float(m), 0.0):.6f}")
+    print(f"  true density at 0      = {true(0.0):.6f}")
+    print(f"  assumed density at 0   = {assumed(0.0):.6f}")
     print(f"  sup |true - assumed|   = {gap.max():.6f} (at y = {at:.3f})")
 
     print(f"  {'y':>6}  {'true':>10}  {'assumed':>10}")
     for y in (0.0, 0.5, 1.0, 2.0, 4.0):
-        print(f"  {y:>6.2f}  {y2_pdf_exact(m, y):>10.6f}  "
-              f"{claimed_pdf_yj(2, 2, float(m), y):>10.6f}")
+        print(f"  {y:>6.2f}  {true(y):>10.6f}  {assumed(y):>10.6f}")
 
 
 def main():

@@ -9,13 +9,7 @@ m = 1 the two laws are the same distribution and both fit.
 
 import numpy as np
 
-from gammaspacings import (
-    SimulationConfig,
-    claimed_cdf_yj,
-    ks_test,
-    simulate_spacing,
-    y2_cdf_exact,
-)
+from gammaspacings import SimulationConfig, ks_test, simulate_spacing, spacing_law
 
 SEED = 2024
 REPS = 10**4
@@ -28,8 +22,8 @@ def main():
     for m in (1, 3, 8):
         cfg = SimulationConfig(n=2, m=float(m), reps=REPS, seed=SEED)
         sample = simulate_spacing(cfg, 2)
-        truth = ks_test(sample.values, lambda g: y2_cdf_exact(m, g))
-        claim = ks_test(sample.values, lambda g: claimed_cdf_yj(2, 2, float(m), g))
+        truth = ks_test(sample.values, spacing_law(2, 2, m).cdf)
+        claim = ks_test(sample.values, spacing_law(2, 2, m, "claimed").cdf)
         verdict = "assumed law rejected" if claim.p_value < 0.01 else "both fit"
         print(f"{m:>3}  {np.mean(sample.values):>7.4f}  {truth.statistic:>8.5f}  "
               f"{truth.p_value:>9.3g}  {claim.statistic:>9.5f}  "

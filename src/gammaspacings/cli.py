@@ -15,18 +15,21 @@ Each input is checked once, before the first file is written: the
 library raises ``ValueError`` for what it uses, and ``_Group.invoke``
 turns that and its numeric failures into ``Error: <message>``, exit 2.
 
-Every file, manifests included, is rendered and written by ``_write``:
+Every file, manifests included, is rendered and written by ``_write``,
+in one call per command, so a run leaves all of its files or none:
 each command only assembles its comment dict, columns and JSON document.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -58,8 +61,19 @@ class CliError(click.ClickException):
 CHUNK = 4096  # CSV rows rendered per write
 
 
-def _write(path, fmt="json", doc=None, comments=None, columns=None):
-    """Render one output file into ``path`` and echo its name.
+class _File(NamedTuple):
+    """One output file of a command: CSV from ``comments`` and ``columns``,
+    or JSON from ``doc``, as ``fmt`` says."""
+
+    path: str
+    fmt: str = "json"
+    doc: object = None
+    comments: dict = None
+    columns: dict = None
+
+
+def _write(*files):
+    """Write a command's whole file set, or none of it, and echo the names.
 
     ``csv``: ``# key: value`` lines from ``comments``, a header of the
     ``columns`` names, then the rows, floats as shortest round-trip
@@ -67,37 +81,48 @@ def _write(path, fmt="json", doc=None, comments=None, columns=None):
     ``doc`` indented by 2, numpy arrays as lists, written by
     ``json.dump`` piece by piece as it is encoded.  Neither format holds
     the whole text in memory, so the writer's memory does not grow with
-    the row count.  Files are UTF-8 in any locale, written to a sibling
-    temporary name that replaces ``path`` (or the file a symlink there
-    names) after the last write.  A failed open or write, or text UTF-8
-    cannot encode (a lone surrogate from an undecodable argument byte),
-    leaves ``path`` as it was and raises ``CliError`` (exit 2) naming it.
+    the row count.  Files are UTF-8 in any locale.  Every file is
+    rendered to a sibling temporary name first; only when all of them
+    are, and no target is a directory, are they renamed onto their paths
+    (or the files symlinks there name).  A failed open or write, text
+    UTF-8 cannot encode (a lone surrogate from an undecodable argument
+    byte) or a directory in the way leaves every path as it was and
+    raises ``CliError`` (exit 2) naming the path.
     """
-    target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp"
+    staged = []  # (path, target, temporary name) of each file opened so far
     try:
-        with open(tmp, "w", encoding="utf-8") as out:
-            if fmt == "csv":
-                out.writelines(f"# {key}: {value}\n" for key, value in comments.items())
-                out.write(",".join(columns) + "\n")
-                cols = [np.asarray(col, dtype=float) for col in columns.values()]
-                for lo in range(0, min(map(len, cols)), CHUNK):
-                    cells = [map(repr, col[lo:lo + CHUNK].tolist()) for col in cols]
-                    out.write("\n".join(map(",".join, zip(*cells))) + "\n")
-            else:
-                json.dump(doc, out, indent=2, default=np.ndarray.tolist)
-                out.write("\n")
-        os.replace(tmp, target)
+        for path, fmt, doc, comments, columns in files:
+            target = os.path.realpath(path)
+            tmp = f"{target}.{os.getpid()}.tmp"
+            staged.append((path, target, tmp))
+            with open(tmp, "w", encoding="utf-8") as out:
+                if fmt == "csv":
+                    out.writelines(f"# {key}: {value}\n" for key, value in comments.items())
+                    out.write(",".join(columns) + "\n")
+                    cols = [np.asarray(col, dtype=float) for col in columns.values()]
+                    for lo in range(0, min(map(len, cols)), CHUNK):
+                        cells = [map(repr, col[lo:lo + CHUNK].tolist()) for col in cols]
+                        out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                else:
+                    json.dump(doc, out, indent=2, default=np.ndarray.tolist)
+                    out.write("\n")
+        for path, target, _ in staged:
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, target, tmp in staged:
+            os.replace(tmp, target)
     except (OSError, UnicodeEncodeError) as exc:
         raise CliError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}")
     finally:
-        with contextlib.suppress(OSError):  # gone already after the replace
-            os.remove(tmp)
-    click.echo(f"wrote {path}")
+        for _, _, tmp in staged:
+            with contextlib.suppress(OSError):  # gone already after the replace
+                os.remove(tmp)
+    for file in files:
+        click.echo(f"wrote {file.path}")
 
 
-def _write_manifest(stem, subcommand, parameters):
-    _write(f"{stem}.manifest.json", doc={
+def _manifest(stem, subcommand, parameters):
+    return _File(f"{stem}.manifest.json", doc={
         "subcommand": subcommand,
         "parameters": parameters,
         "version": __version__,
@@ -173,13 +198,14 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
     curves = [density_curve(law, ymax, points) for law in laws]
     params = {"m": m, "n": n, "j": j, "which": which, "ymax": ymax,
               "points": points, "tol": tol, "format": fmt, "output": output}
+    files = []
     for law, curve in zip(laws, curves):
         meta = {**params, "curve": law.route}
-        _write(f"{output}_{law.route}.{fmt}", fmt,
-               doc={"meta": meta, "y": curve.grid, "f": curve.values,
-                    "normalization_error": curve.normalization_error},
-               comments=meta, columns={"y": curve.grid, "f": curve.values})
-    _write_manifest(output, "density", params)
+        files.append(_File(f"{output}_{law.route}.{fmt}", fmt,
+                           doc={"meta": meta, "y": curve.grid, "f": curve.values,
+                                "normalization_error": curve.normalization_error},
+                           comments=meta, columns={"y": curve.grid, "f": curve.values}))
+    _write(*files, _manifest(output, "density", params))
 
 
 @main.command()
@@ -221,20 +247,20 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
               "reps": reps, "seed": seed, "bins": bins, "format": fmt,
               "output": output}
     name, config = sample.statistic_name, sample.config.as_dict()
-    _write(f"{output}.{fmt}", fmt,
-           doc={"statistic": name, "config": config, "values": sample.values},
-           comments={"statistic": name, **config}, columns={"value": sample.values})
+    files = [_File(f"{output}.{fmt}", fmt,
+                   doc={"statistic": name, "config": config, "values": sample.values},
+                   comments={"statistic": name, **config}, columns={"value": sample.values})]
     if bins is not None:
         hist = histogram(sample.values, bins)
         edges = hist.bin_edges
-        _write(f"{output}_hist.{fmt}", fmt,
-               doc={"statistic": name, "bin_edges": edges,
-                    "densities": hist.densities, "count": hist.count},
-               comments={"statistic": name, **{key: params[key] for key in
-                         ("n", "m", "sigma", "reps", "seed", "bins")}},
-               columns={"bin_lo": edges[:-1], "bin_hi": edges[1:],
-                        "density": hist.densities})
-    _write_manifest(output, "simulate", params)
+        files.append(_File(f"{output}_hist.{fmt}", fmt,
+                           doc={"statistic": name, "bin_edges": edges,
+                                "densities": hist.densities, "count": hist.count},
+                           comments={"statistic": name, **{key: params[key] for key in
+                                     ("n", "m", "sigma", "reps", "seed", "bins")}},
+                           columns={"bin_lo": edges[:-1], "bin_hi": edges[1:],
+                                    "density": hist.densities}))
+    _write(*files, _manifest(output, "simulate", params))
 
 
 @main.command()
@@ -288,9 +314,9 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
         )
     params = {"m": m_list, "n": n, "j": j, "reps": reps, "seed": seed,
               "alpha": alpha, "output": output}
-    _write(f"{output}.json", doc={"subcommand": "validate", "parameters": params,
-                                  "rows": rows})
-    _write_manifest(output, "validate", params)
+    _write(_File(f"{output}.json", doc={"subcommand": "validate", "parameters": params,
+                                        "rows": rows}),
+           _manifest(output, "validate", params))
 
 
 @main.command("critical-values")
@@ -318,14 +344,15 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
     crits = [critical_value(sample, a) for a in alphas]
     params = {"n": n, "m": m, "k": k, "stat": stat, "alpha": alpha_list,
               "reps": reps, "seed": seed, "format": fmt, "output": output}
-    _write(f"{output}.{fmt}", fmt,
-           doc={"statistic": stat, "config": sample.config.as_dict(),
-                "rows": [{"alpha": a, "critical_value": v} for a, v in zip(alphas, crits)]},
-           comments={key: params[key] for key in ("stat", "n", "m", "k", "reps", "seed")},
-           columns={"alpha": alphas, "critical_value": crits})
     for a, v in zip(alphas, crits):
         click.echo(f"alpha={a:g}  critical_value={v!r}")
-    _write_manifest(output, "critical-values", params)
+    _write(_File(f"{output}.{fmt}", fmt,
+                 doc={"statistic": stat, "config": sample.config.as_dict(),
+                      "rows": [{"alpha": a, "critical_value": v}
+                               for a, v in zip(alphas, crits)]},
+                 comments={key: params[key] for key in ("stat", "n", "m", "k", "reps", "seed")},
+                 columns={"alpha": alphas, "critical_value": crits}),
+           _manifest(output, "critical-values", params))
 
 
 @main.command()
@@ -391,10 +418,9 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     }
     click.echo(json.dumps(report, indent=2))
     if output is not None:
-        _write(f"{output}.json", doc=report)
-        _write_manifest(output, "test", {**report["config"], "alpha": alpha,
-                                         "datafile": str(datafile),
-                                         "output": output})
+        _write(_File(f"{output}.json", doc=report),
+               _manifest(output, "test", {**report["config"], "alpha": alpha,
+                                          "datafile": str(datafile), "output": output}))
     ctx.exit(1 if discordant else 0)
 
 
@@ -428,15 +454,15 @@ def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
     params = {"n": n, "m": m, "k": k, "b": b_list, "stat": stat, "alpha": alpha,
               "reps": reps, "seed": seed, "format": fmt, "output": output}
     rows = list(zip(bs, powers, ses))
-    _write(f"{output}.{fmt}", fmt,
-           doc={"statistic": stat, "config": null.config.as_dict(), "alpha": alpha,
-                "rows": [{"b": b, "power": p, "se": s} for b, p, s in rows]},
-           comments={key: params[key] for key in ("stat", "n", "m", "k", "alpha",
-                                                   "reps", "seed")},
-           columns={"b": bs, "power": powers, "se": ses})
     for b, p, s in rows:
         click.echo(f"b={b:g}  power={p:.4f}  se={s:.4f}")
-    _write_manifest(output, "power", params)
+    _write(_File(f"{output}.{fmt}", fmt,
+                 doc={"statistic": stat, "config": null.config.as_dict(), "alpha": alpha,
+                      "rows": [{"b": b, "power": p, "se": s} for b, p, s in rows]},
+                 comments={key: params[key] for key in ("stat", "n", "m", "k", "alpha",
+                                                         "reps", "seed")},
+                 columns={"b": bs, "power": powers, "se": ses}),
+           _manifest(output, "power", params))
 
 
 if __name__ == "__main__":

@@ -116,8 +116,8 @@ def ks_test(sample, cdf) -> KsResult:
     return KsResult(statistic=d, p_value=ks_pvalue(d, size), sample_size=size)
 
 
-def histogram(sample, bins, range=None) -> Histogram:
-    """Area-normalized histogram of ``sample``.
+def histogram(sample, bins) -> Histogram:
+    """Area-normalized histogram of ``sample`` over its min/max.
 
     Parameters
     ----------
@@ -125,16 +125,11 @@ def histogram(sample, bins, range=None) -> Histogram:
         Nonempty, finite values (any order).
     bins : int
         Number of bins, >= 1.
-    range : (float, float), optional
-        Outer edges; defaults to the sample min/max.  Must satisfy
-        ``lo < hi``.  Values outside are dropped from the density
-        normalization.
 
     Returns
     -------
     Histogram
-        ``densities`` integrate to 1 over the binned range whenever any
-        observation falls inside it.
+        Every value is binned, so ``densities`` integrate to 1.
     """
     arr = np.asarray(sample, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -145,17 +140,6 @@ def histogram(sample, bins, range=None) -> Histogram:
         raise TypeError(f"bins must be an integer, got {bins!r}")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    if range is not None:
-        lo, hi = float(range[0]), float(range[1])
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"range must satisfy lo < hi, got {range!r}")
-        range = (lo, hi)
-    counts, edges = np.histogram(arr, bins=int(bins), range=range)
-    inside = int(counts.sum())
-    widths = np.diff(edges)
-    if inside > 0:
-        densities = counts / (inside * widths)
-    else:
-        densities = np.zeros_like(widths)
-    return Histogram(bin_edges=edges, densities=densities, count=inside)
-
+    counts, edges = np.histogram(arr, bins=int(bins))
+    return Histogram(bin_edges=edges, densities=counts / (arr.size * np.diff(edges)),
+                     count=arr.size)

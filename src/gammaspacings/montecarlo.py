@@ -223,15 +223,15 @@ def simulate_spacing(config: SimulationConfig, j, workers=1) -> EmpiricalSample:
     Each replication sorts ``n`` draws and records ``X_(j) - X_(j-1)``.
     Returns the sorted sample.
     """
-    idx = SpacingIndex.consecutive(config.n, j)
+    j = SpacingIndex(config.n, j).j
     values = _simulate(
         config,
-        lambda xs: xs[:, idx.s - 1] - xs[:, idx.r - 1],
+        lambda xs: xs[:, j - 1] - xs[:, j - 2],
         np.full(config.n, config.sigma),
         workers,
     )[0]
     return EmpiricalSample(values=np.sort(values), config=config,
-                           statistic_name=f"y{idx.s}")
+                           statistic_name=f"y{j}")
 
 
 def simulate_statistic(config: SimulationConfig, which, workers=1) -> EmpiricalSample:

@@ -1,19 +1,20 @@
-"""Order-statistic spacing laws for Gamma samples.
+"""Consecutive spacing laws of Gamma samples.
 
-``spacing_law(n, j, m)`` resolves the law of ``Y_j = X_(j) - X_(j-1)``
-to one of three routes, each with a pdf and a cdf:
+``spacing_law(n, j, m)`` is the one way to the law of
+``Y_j = X_(j) - X_(j-1)``.  It resolves one of three routes, each with a
+pdf and a cdf:
 
 * ``exact``: ``y2_pdf_exact`` / ``y2_mixture``, the closed form for two
   observations with integer shape ``m``, a mixture of ``Gamma(i+1, 1)``.
 * ``numeric``: ``spacing_pdf_numeric`` / ``spacing_cdf_numeric``, one
   adaptive vector quadrature each for a whole array of ``y``, for any
-  ``n``, any pair of order-statistic ranks and any real shape ``m > 0``.
-  The quadrature (a globally adaptive Gauss-Kronrod 21 rule) and the
-  cdf's monotone cubic interpolant are small numpy functions here, so
-  ``scipy.special`` is the only scipy module the package imports.
-* ``claimed``: ``claimed_pdf_yj``, the conjectured law
-  ``Gamma(m, sigma/(n-j+1))``.  It is exact when ``m == 1`` and wrong
-  otherwise; it is provided so the discrepancy can be measured.
+  ``n``, any ``j`` and any real shape ``m > 0``.  The quadrature (a
+  globally adaptive Gauss-Kronrod 21 rule) and the cdf's monotone cubic
+  interpolant are small numpy functions here, so ``scipy.special`` is
+  the only scipy module the package imports.
+* ``claimed``: the conjectured law ``Gamma(m, 1/(n-j+1))``.  It is exact
+  when ``m == 1`` and wrong otherwise; it is provided so the discrepancy
+  can be measured.
 
 ``density_curve`` tabulates a law as a ``DensityCurve``, which holds
 arrays only: the CLI's one writer renders it as CSV or JSON.
@@ -41,12 +42,9 @@ __all__ = [
     "SpacingLaw",
     "spacing_law",
     "y2_pdf_exact",
-    "y2_cdf_exact",
     "y2_mixture",
     "spacing_pdf_numeric",
     "spacing_cdf_numeric",
-    "claimed_pdf_yj",
-    "claimed_cdf_yj",
     "density_curve",
 ]
 
@@ -83,37 +81,20 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpacingIndex:
-    """Ranks of a (possibly non-consecutive) spacing ``X_(s) - X_(r)``.
-
-    Requires ``1 <= r < s <= n``.  The consecutive spacing
-    ``Y_j = X_(j) - X_(j-1)`` is ``SpacingIndex.consecutive(n, j)``.
-    """
+    """The consecutive spacing ``Y_j = X_(j) - X_(j-1)`` of ``n``
+    observations; requires ``2 <= j <= n``."""
 
     n: int
-    s: int
-    r: int
+    j: int
 
     def __post_init__(self):
-        for name in ("n", "s", "r"):
+        for name in ("n", "j"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if not 1 <= self.r < self.s <= self.n:
-            raise ValueError(
-                f"ranks must satisfy 1 <= r < s <= n, got r={self.r}, s={self.s}, n={self.n}"
-            )
-
-    @classmethod
-    def consecutive(cls, n: int, j: int) -> "SpacingIndex":
-        """Index of ``Y_j = X_(j) - X_(j-1)`` for ``2 <= j <= n``."""
-        if isinstance(j, bool) or not isinstance(j, numbers.Integral):
-            raise TypeError(f"j must be an integer, got {j!r}")
-        if not 2 <= j <= n:
-            raise ValueError(f"j must satisfy 2 <= j <= n, got j={j}, n={n}")
-        return cls(n=n, s=int(j), r=int(j) - 1)
+        if not 2 <= self.j <= self.n:
+            raise ValueError(f"j must satisfy 2 <= j <= n, got j={self.j}, n={self.n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,30 +273,6 @@ def y2_mixture(m) -> MixtureDecomposition:
     return MixtureDecomposition(weights=weights, shapes=np.arange(1, mi + 1))
 
 
-def y2_cdf_exact(m, y):
-    """Exact cdf of the two-observation spacing: ``sum_i w_i P(i+1, y)``."""
-    return y2_mixture(m).cdf(y)
-
-
-def claimed_pdf_yj(n, j, m, y, sigma=1.0):
-    """Density of the conjectured spacing law ``Gamma(m, sigma/(n-j+1))``.
-
-    This is the claim under test, not a true spacing law: it matches the
-    quadrature route exactly when ``m == 1`` and disagrees for every
-    other shape.
-    """
-    idx = SpacingIndex.consecutive(n, j)
-    params = GammaParams(float(m), float(sigma) / (idx.n - idx.s + 1))
-    return gamma_pdf(y, params)
-
-
-def claimed_cdf_yj(n, j, m, y, sigma=1.0):
-    """Cdf companion of ``claimed_pdf_yj``."""
-    idx = SpacingIndex.consecutive(n, j)
-    params = GammaParams(float(m), float(sigma) / (idx.n - idx.s + 1))
-    return gamma_cdf(y, params)
-
-
 def _checked(y, tol):
     """``(y as a 1-D float array, y was a scalar)``; ValueError unless
     every entry is finite and ``0 < tol < 1``."""
@@ -433,18 +390,17 @@ def _integrate_over_x(params: GammaParams, integrand, tol, past=0.0):
 
 
 def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
-    """Spacing density ``f_{X_(s)-X_(r)}(y)`` by adaptive quadrature.
+    """Density of the spacing ``Y_j = X_(j) - X_(j-1)`` by adaptive quadrature.
 
     Integrates
 
-        n! / ((r-1)! (s-r-1)! (n-s)!) *
-        F(x)^(r-1) f(x) [F(x+y) - F(x)]^(s-r-1) f(x+y) [1 - F(x+y)]^(n-s)
+        n! / ((j-2)! (n-j)!) * F(x)^(j-2) f(x) f(x+y) [1 - F(x+y)]^(n-j)
 
     over ``x in (0, U)`` with ``U = sigma * Q(1 - 1e-14) + max(y)``,
     where ``f``/``F``/``Q`` are the ``Gamma(m, sigma)`` density, cdf and
     quantile (for ``m < 1`` in the variable ``u = (x/sigma)**m``).  All
     entries of ``y`` share one adaptive subdivision of that range.
-    Works for any real shape ``m > 0`` and any rank pair, except at
+    Works for any real shape ``m > 0`` and any ``j``, except at
     ``y = 0`` for ``m <= 1/2``, where the density is infinite; at
     ``y = 0`` for ``1/2 < m`` below about 0.6 the singular integrand
     needs more than ``SUBDIVISION_LIMIT`` intervals (QuadratureError).
@@ -471,23 +427,18 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     live = arr >= 0
     if np.any(live):
         ys = arr[live]
-        n, s, r = idx.n, idx.s, idx.r
-        coef = float(math.factorial(n) // (math.factorial(r - 1) * math.factorial(s - r - 1)
-                                           * math.factorial(n - s)))
-        a_exp, b_exp, c_exp = r - 1, s - r - 1, n - s
+        n, j = idx.n, idx.j
+        coef = float(math.factorial(n) // (math.factorial(j - 2) * math.factorial(n - j)))
         m, sigma = params.m, params.sigma
 
         def integrand(x, w):
             x = x[:, None]
             t = x + ys
             val = w[:, None] * gamma_pdf(t, params)
-            if a_exp:
-                val *= special.gammainc(m, x / sigma) ** a_exp
-            if b_exp:
-                mid = special.gammainc(m, t / sigma) - special.gammainc(m, x / sigma)
-                val *= np.maximum(mid, 0.0) ** b_exp
-            if c_exp:
-                val *= special.gammaincc(m, t / sigma) ** c_exp
+            if j > 2:
+                val *= special.gammainc(m, x / sigma) ** (j - 2)
+            if j < n:
+                val *= special.gammaincc(m, t / sigma) ** (n - j)
             return val
 
         value = _integrate_over_x(params, integrand, tol / coef, past=ys.max())
@@ -496,16 +447,17 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
 
 
 def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
-    """Spacing cdf ``P(X_(s) - X_(r) <= y)`` by one adaptive quadrature.
+    """Cdf ``P(Y_j <= y)`` of the spacing ``Y_j = X_(j) - X_(j-1)`` by one
+    adaptive quadrature.
 
-    The joint density of ``(X_(r), X_(s))`` integrates over the upper
+    The joint density of ``(X_(j-1), X_(j))`` integrates over the upper
     rank to an incomplete beta function (David & Nagaraja, *Order
-    Statistics*, 2.2).  With ``b = s-r-1``, ``c = n-s``, ``S = 1 - F``:
+    Statistics*, 2.2).  With ``S = 1 - F``:
 
-        P(Y <= y) = n! / ((r-1)! (n-r)!) *
-            int F(x)^(r-1) f(x) S(x)^(b+c+1) I_z(b+1, c+1) dx,
+        P(Y_j <= y) = n! / ((j-2)! (n-j+1)!) *
+            int F(x)^(j-2) f(x) S(x)^(n-j+1) I_z(1, n-j+1) dx,
 
-    ``1 - z = S(x+y) / S(x)``.  ``I_z = betaincc(c+1, b+1, S(x+y)/S(x))``
+    ``1 - z = S(x+y) / S(x)``.  ``I_z = betaincc(n-j+1, 1, S(x+y)/S(x))``
     does not cancel at large ``x``.  ``x`` runs over ``(0, U)``,
     ``U = sigma * Q(1 - 1e-14)``, as in ``spacing_pdf_numeric``: ``y``
     may be a float or a 1-D array, all entries share one adaptive
@@ -517,20 +469,20 @@ def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     live = arr > 0
     if np.any(live):
         ys = arr[live]
-        n, s, r = idx.n, idx.s, idx.r
-        scale = float(math.factorial(n) // (math.factorial(r - 1) * math.factorial(n - r)))
+        n, j = idx.n, idx.j
+        scale = float(math.factorial(n) // (math.factorial(j - 2) * math.factorial(n - j + 1)))
         m, sigma = params.m, params.sigma
 
         def integrand(x, w):
             x = x[:, None]
             sx = special.gammaincc(m, x / sigma)
-            # a row where S(x) underflows to 0 is 0 through sx ** (n - r);
+            # a row where S(x) underflows to 0 is 0 through sx ** (n-j+1);
             # at y of an ulp the rounded ratio can exceed 1, where betaincc is nan
             ratio = special.gammaincc(m, (x + ys) / sigma) / np.where(sx > 0.0, sx, 1.0)
             ratio = np.minimum(ratio, 1.0)
-            val = w[:, None] * sx ** (n - r) * special.betaincc(n - s + 1, s - r, ratio)
-            if r > 1:
-                val *= special.gammainc(m, x / sigma) ** (r - 1)
+            val = w[:, None] * sx ** (n - j + 1) * special.betaincc(n - j + 1, 1, ratio)
+            if j > 2:
+                val *= special.gammainc(m, x / sigma) ** (j - 2)
             return val
 
         value = _integrate_over_x(params, integrand, tol / scale)
@@ -585,22 +537,22 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
     ``[0, ymax]``.  Raises ValueError for an unknown route, ``exact``
     outside its domain, bad ``n``, ``j``, ``m``, or ``tol`` not in (0, 1).
     """
-    idx = SpacingIndex.consecutive(n, j)
+    idx = SpacingIndex(n, j)
     params = GammaParams(m, 1.0)
     m = params.m
     _checked(0.0, tol)  # reject a bad tol before any quadrature runs
-    exact_ok = idx.n == idx.s == 2 and m.is_integer()  # m > 0, so m >= 1
+    exact_ok = idx.n == idx.j == 2 and m.is_integer()  # m > 0, so m >= 1
     if route == "auto":
         route = "exact" if exact_ok else "numeric"
     if route == "exact":
         if not exact_ok:
             raise ValueError("the exact route needs integer m >= 1 and n = j = 2; "
                              "use the numeric route for this configuration")
-        return SpacingLaw(route, m, lambda y: y2_pdf_exact(m, y),
-                          lambda y: y2_cdf_exact(m, y))
+        return SpacingLaw(route, m, lambda y: y2_pdf_exact(m, y), y2_mixture(m).cdf)
     if route == "claimed":
-        return SpacingLaw(route, m, lambda y: claimed_pdf_yj(n, j, m, y),
-                          lambda y: claimed_cdf_yj(n, j, m, y))
+        claimed = GammaParams(m, 1 / (idx.n - idx.j + 1))
+        return SpacingLaw(route, m, lambda y: gamma_pdf(y, claimed),
+                          lambda y: gamma_cdf(y, claimed))
     if route != "numeric":
         raise ValueError(f"route must be auto, exact, numeric or claimed, got {route!r}")
 

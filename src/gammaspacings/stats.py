@@ -2,12 +2,10 @@
 
 ``z_k`` is the weighted-spacing ratio: the share of the weighted total
 ``sum_j (n-j+1) Y_j`` carried by the top ``k`` spacings.  ``dixon_dk``
-is the classical gap ratio ``(X_(n) - X_(n-k)) / (X_(n) - X_(1))``;
-``dixon_dk_refuted`` is the variant normalized by ``X_(n)`` alone,
-kept only to demonstrate that it is not location invariant.  Each takes
-a 1-D array of at least two finite observations, in any order, and an
-integer ``k``; ``REDUCTIONS`` holds the row-wise forms that the Monte
-Carlo engine and the CLI share.
+is the classical gap ratio ``(X_(n) - X_(n-k)) / (X_(n) - X_(1))``.
+Each takes a 1-D array of at least two finite observations, in any
+order, and an integer ``k``; ``REDUCTIONS`` holds the row-wise forms
+that the Monte Carlo engine and the CLI share.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ __all__ = [
     "z_k",
     "z_k_telescoped",
     "dixon_dk",
-    "dixon_dk_refuted",
 ]
 
 
@@ -133,16 +130,3 @@ def dixon_dk(data, k) -> float:
     xs = _sorted_values(data)
     return float(_dk_sorted(xs[np.newaxis], _check_k(k, xs.size, xs.size - 1))[0])
 
-
-def dixon_dk_refuted(data, k) -> float:
-    """Gap ratio normalized by the maximum: ``(X_(n) - X_(n-k)) / X_(n)``.
-
-    Not location invariant (shifting the sample changes it), which is
-    why it is unsuitable as a discordancy statistic; provided for
-    comparison only.  Errors when ``X_(n) == 0``.
-    """
-    xs = _sorted_values(data)
-    k = _check_k(k, xs.size, xs.size - 1)
-    if xs[-1] == 0.0:
-        raise ValueError("maximum observation is zero; refuted ratio is undefined")
-    return float((xs[-1] - xs[-1 - k]) / xs[-1])

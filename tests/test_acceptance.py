@@ -17,16 +17,14 @@ from gammaspacings import (
     GammaParams,
     SimulationConfig,
     SpacingIndex,
-    claimed_cdf_yj,
-    claimed_pdf_yj,
     critical_value,
     dixon_dk,
     gamma_quantile,
     ks_test,
     simulate_spacing,
     simulate_statistic,
+    spacing_law,
     spacing_pdf_numeric,
-    y2_cdf_exact,
     y2_mixture,
     y2_pdf_exact,
     z_k,
@@ -43,8 +41,8 @@ def test_criterion_1_seeded_reproduction_of_spacing_law():
     for m in (1, 3, 8):
         cfg = SimulationConfig(n=2, m=float(m), reps=10**4, seed=2024)
         sample = simulate_spacing(cfg, 2)
-        truth = ks_test(sample.values, lambda g: y2_cdf_exact(m, g))
-        claim = ks_test(sample.values, lambda g: claimed_cdf_yj(2, 2, float(m), g))
+        truth = ks_test(sample.values, spacing_law(2, 2, m).cdf)
+        claim = ks_test(sample.values, spacing_law(2, 2, m, "claimed").cdf)
         assert truth.p_value > 0.01, f"m={m}: true law rejected, p={truth.p_value}"
         if m == 1:
             assert claim.p_value > 0.01
@@ -62,7 +60,7 @@ def test_criterion_2_m2_closed_form_on_grid():
 
 def test_criterion_3_quadrature_matches_closed_form():
     start = time.perf_counter()
-    idx = SpacingIndex(n=2, s=2, r=1)
+    idx = SpacingIndex(n=2, j=2)
     for m in (1, 2, 3, 8):
         params = GammaParams(float(m), 1.0)
         ymax = float(gamma_quantile(0.999, params)) + 2.0
@@ -97,18 +95,19 @@ def test_criterion_6_claim_holds_in_exponential_case():
     # m = 1 is the one shape where the claimed law is the true law.
     for n in (3, 4, 5):
         for j in range(2, n + 1):
-            idx = SpacingIndex.consecutive(n, j)
+            idx = SpacingIndex(n, j)
+            claimed_law = spacing_law(n, j, 1.0, "claimed")
             params = GammaParams(1.0, 1.0)
             scale = 1.0 / (n - j + 1)
             grid = np.linspace(0.0, 8.0 * scale, 21)
             numeric = np.array(
                 [spacing_pdf_numeric(idx, params, float(y), 1e-9) for y in grid]
             )
-            claimed = claimed_pdf_yj(n, j, 1.0, grid)
+            claimed = claimed_law.pdf(grid)
             assert np.max(np.abs(numeric - claimed)) < 1e-6, f"n={n}, j={j}"
             cfg = SimulationConfig(n=n, m=1.0, reps=10**4, seed=42)
             sample = simulate_spacing(cfg, j)
-            res = ks_test(sample.values, lambda g: claimed_cdf_yj(n, j, 1.0, g))
+            res = ks_test(sample.values, claimed_law.cdf)
             assert res.p_value > 0.01, f"n={n}, j={j}: p={res.p_value}"
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from gammaspacings import (
     SimulationConfig,
-    claimed_pdf_yj,
     critical_value,
     density_curve,
     histogram,
@@ -138,7 +137,7 @@ def test_density_numeric_route_matches_claimed_at_m1(runner):
         ])
         assert result.exit_code == 0
         ys, fs = read_curve("density_numeric.csv")
-        expected = claimed_pdf_yj(3, 2, 1.0, ys)
+        expected = spacing_law(3, 2, 1.0, "claimed").pdf(ys)
         assert np.max(np.abs(fs - expected)) < 1e-6
 
 
@@ -615,12 +614,29 @@ def test_write_failure_exits_two(runner, command):
         assert "cannot write nodir/x" in result.output
 
 
+def test_a_directory_in_the_way_leaves_the_whole_file_set_as_it_was(runner):
+    # x_claimed.csv is a directory: the run exits 2 before the first file
+    # is renamed into place, so x_exact.csv is neither written nor replaced
+    args = ["density", "--m", "2", "--points", "5", "--output", "x"]
+    with runner.isolated_filesystem():
+        Path("x_claimed.csv").mkdir()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "Error: cannot write x_claimed.csv: Is a directory" in result.output
+        assert "wrote" not in result.output
+        assert [p.name for p in Path(".").rglob("*")] == ["x_claimed.csv"]
+        Path("x_exact.csv").write_bytes(b"y,f\n0.0,0.5\n")
+        assert runner.invoke(main, args).exit_code == 2
+        assert Path("x_exact.csv").read_bytes() == b"y,f\n0.0,0.5\n"
+        assert sorted(p.name for p in Path(".").rglob("*")) == ["x_claimed.csv", "x_exact.csv"]
+
+
 def test_write_goes_through_a_symlink(tmp_path):
     # the temporary file replaces the symlink's target, not the symlink
     (tmp_path / "data").mkdir()
     link = tmp_path / "x.json"
     link.symlink_to(tmp_path / "data" / "x.json")
-    cli._write(link, doc={"a": 1})
+    cli._write(cli._File(link, doc={"a": 1}))
     assert link.is_symlink()
     assert (tmp_path / "data" / "x.json").read_text() == '{\n  "a": 1\n}\n'
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "x.json", "x.json"]
@@ -636,7 +652,7 @@ def test_csv_writer_blocks_render_every_row(tmp_path, rows, two_columns):
         columns["w"] = (-values / 3).tolist()  # a list column, as ``power`` passes
     comments = {"statistic": "dk", "reps": rows}
     path = tmp_path / "out.csv"
-    cli._write(path, "csv", comments=comments, columns=columns)
+    cli._write(cli._File(path, "csv", comments=comments, columns=columns))
     body = ["# statistic: dk", f"# reps: {rows}", ",".join(columns)] + [
         ",".join(repr(float(v)) for v in row) for row in zip(*columns.values())]
     assert path.read_bytes() == ("\n".join(body) + "\n").encode()
@@ -645,7 +661,7 @@ def test_csv_writer_blocks_render_every_row(tmp_path, rows, two_columns):
 def _write_peak_mb(path, **kwargs):
     tracemalloc.start()
     try:
-        cli._write(path, **kwargs)
+        cli._write(cli._File(path, **kwargs))
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()

@@ -11,13 +11,13 @@ from gammaspacings import (
     DegenerateDrawError,
     EmpiricalSample,
     SimulationConfig,
-    claimed_cdf_yj,
     critical_value,
     ks_test,
     p_value,
     simulate_power,
     simulate_spacing,
     simulate_statistic,
+    spacing_law,
 )
 from gammaspacings.montecarlo import BLOCK, _simulate
 from gammaspacings.stats import REDUCTIONS
@@ -87,7 +87,7 @@ def test_simulate_spacing_deterministic_and_worker_invariant():
 def test_simulate_spacing_m1_matches_exponential_law():
     cfg = SimulationConfig(n=2, m=1.0, reps=10**4, seed=42)
     sample = simulate_spacing(cfg, 2)
-    res = ks_test(sample.values, lambda g: claimed_cdf_yj(2, 2, 1.0, g))
+    res = ks_test(sample.values, spacing_law(2, 2, 1.0, "claimed").cdf)
     assert res.p_value > 0.01
 
 

@@ -15,44 +15,43 @@ from gammaspacings import (
     GammaParams,
     QuadratureError,
     SpacingIndex,
-    claimed_cdf_yj,
-    claimed_pdf_yj,
     density_curve,
+    gamma_cdf,
+    gamma_pdf,
     gamma_quantile,
     ks_test,
     spacing_cdf_numeric,
     spacing_law,
     spacing_pdf_numeric,
-    y2_cdf_exact,
     y2_mixture,
     y2_pdf_exact,
 )
 
 # frozen 40-digit mpmath oracles for the quadrature route
-QUAD_N3_TOP_M25_Y1 = 0.3536706315720858013343  # n=3, s=3, r=2, m=2.5, y=1
-QUAD_N4_S4_R2_M2_Y15 = 0.3417030705572010440414  # non-consecutive spacing
+QUAD_N3_TOP_M25_Y1 = 0.3536706315720858013343  # n=3, j=3, m=2.5, y=1
 Y2_M3_Y1 = 0.3218945110250120314176  # y2_pdf_exact(3, 1) = 7/8 e^{-1}
 
 
 def test_spacing_index_validation():
-    idx = SpacingIndex(n=5, s=4, r=2)
-    assert (idx.n, idx.s, idx.r) == (5, 4, 2)
-    with pytest.raises(ValueError):
-        SpacingIndex(n=5, s=2, r=2)
-    with pytest.raises(ValueError):
-        SpacingIndex(n=5, s=6, r=1)
-    with pytest.raises(ValueError):
-        SpacingIndex(n=1, s=1, r=1)
+    idx = SpacingIndex(n=5, j=np.int64(4))
+    assert (idx.n, idx.j) == (5, 4) and type(idx.j) is int
+    with pytest.raises(ValueError, match=r"2 <= j <= n, got j=2, n=1"):
+        SpacingIndex(n=1, j=2)
     with pytest.raises(TypeError):
-        SpacingIndex(n=5, s=2.5, r=1)
+        SpacingIndex(n=5, j=2.5)
+    with pytest.raises(TypeError):
+        SpacingIndex(n=5.0, j=2)
+    with pytest.raises(TypeError):
+        SpacingIndex(n=5, j=True)
 
 
 def test_spacing_index_consecutive():
-    assert SpacingIndex.consecutive(4, 3) == SpacingIndex(n=4, s=3, r=2)
-    with pytest.raises(ValueError):
-        SpacingIndex.consecutive(4, 1)
-    with pytest.raises(ValueError):
-        SpacingIndex.consecutive(4, 5)
+    # the index of Y_j = X_(j) - X_(j-1), for 2 <= j <= n only
+    assert SpacingIndex(4, 3) == SpacingIndex(n=4, j=3)
+    with pytest.raises(ValueError, match=r"got j=1, n=4"):
+        SpacingIndex(4, 1)
+    with pytest.raises(ValueError, match=r"got j=5, n=4"):
+        SpacingIndex(4, 5)
 
 
 def test_y2_pdf_exact_m1_is_unit_exponential():
@@ -127,9 +126,9 @@ def test_y2_mixture_pdf_matches_exact():
 
 def test_y2_cdf_exact_closed_forms():
     ys = np.linspace(0.0, 10.0, 50)
-    assert_allclose(y2_cdf_exact(1, ys), 1.0 - np.exp(-ys), atol=1e-14)
+    assert_allclose(spacing_law(2, 2, 1).cdf(ys), 1.0 - np.exp(-ys), atol=1e-14)
     m2 = 0.5 * (1.0 - np.exp(-ys)) + 0.5 * (1.0 - np.exp(-ys) * (1.0 + ys))
-    assert_allclose(y2_cdf_exact(2, ys), m2, atol=1e-14)
+    assert_allclose(spacing_law(2, 2, 2).cdf(ys), m2, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [3, 50])
@@ -137,43 +136,38 @@ def test_y2_cdf_exact_stays_a_probability_in_the_far_tail(m):
     # the weighted sum of component cdfs rounds to 1 + 2e-16 (m = 3) and
     # 1 + 1.2e-14 (m = 50) beyond y = 42 and y = 86
     ys = np.linspace(0.0, 200.0, 4001)
-    values = y2_cdf_exact(m, ys)
+    cdf = spacing_law(2, 2, m).cdf
+    values = cdf(ys)
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert values[-1] == 1.0
-    assert ks_test(ys, lambda g: y2_cdf_exact(m, g)).statistic > 0.0
+    assert ks_test(ys, cdf).statistic > 0.0
 
 
 def test_spacing_pdf_numeric_exponential_cases():
     # n=2 spacing of two unit exponentials is Exp(1)
-    idx = SpacingIndex(n=2, s=2, r=1)
+    idx = SpacingIndex(n=2, j=2)
     val = spacing_pdf_numeric(idx, GammaParams(1.0, 1.0), 1.0)
     assert abs(val - math.exp(-1.0)) < 1e-9
     # top spacing of 3 unit exponentials is Exp(1)
-    idx3 = SpacingIndex(n=3, s=3, r=2)
+    idx3 = SpacingIndex(n=3, j=3)
     val3 = spacing_pdf_numeric(idx3, GammaParams(1.0, 1.0), 0.5)
     assert abs(val3 - math.exp(-0.5)) < 1e-9
 
 
 def test_spacing_pdf_numeric_matches_exact_m2():
-    idx = SpacingIndex(n=2, s=2, r=1)
+    idx = SpacingIndex(n=2, j=2)
     val = spacing_pdf_numeric(idx, GammaParams(2.0, 1.0), 1.0)
     assert abs(val - y2_pdf_exact(2, 1.0)) < 1e-6
 
 
 def test_spacing_pdf_numeric_noninteger_shape_pinned():
-    idx = SpacingIndex(n=3, s=3, r=2)
+    idx = SpacingIndex(n=3, j=3)
     val = spacing_pdf_numeric(idx, GammaParams(2.5, 1.0), 1.0)
     assert abs(val - QUAD_N3_TOP_M25_Y1) < 1e-9
 
 
-def test_spacing_pdf_numeric_nonconsecutive_pinned():
-    idx = SpacingIndex(n=4, s=4, r=2)
-    val = spacing_pdf_numeric(idx, GammaParams(2.0, 1.0), 1.5)
-    assert abs(val - QUAD_N4_S4_R2_M2_Y15) < 1e-9
-
-
 def test_spacing_pdf_numeric_negative_y_and_validation():
-    idx = SpacingIndex(n=3, s=3, r=2)
+    idx = SpacingIndex(n=3, j=3)
     assert spacing_pdf_numeric(idx, GammaParams(2.0), -0.1) == 0.0
     with pytest.raises(ValueError):
         spacing_pdf_numeric(idx, GammaParams(2.0), 1.0, tol=0.0)
@@ -182,7 +176,7 @@ def test_spacing_pdf_numeric_negative_y_and_validation():
 
 
 def test_spacing_pdf_numeric_scale_property():
-    idx = SpacingIndex(n=4, s=3, r=2)
+    idx = SpacingIndex(n=4, j=3)
     for sigma in (0.5, 2.0):
         for y in (0.3, 1.0, 2.5):
             scaled = spacing_pdf_numeric(idx, GammaParams(1.7, sigma), y)
@@ -195,64 +189,66 @@ def test_spacing_pdf_numeric_m1_reduces_to_claimed():
     ys = np.linspace(0.05, 4.0, 12)
     for n in (3, 6):
         for j in (2, n):
-            idx = SpacingIndex.consecutive(n, j)
+            idx = SpacingIndex(n, j)
             numeric = [spacing_pdf_numeric(idx, GammaParams(1.0), float(y)) for y in ys]
-            claimed = claimed_pdf_yj(n, j, 1.0, ys)
+            claimed = spacing_law(n, j, 1.0, "claimed").pdf(ys)
             assert np.max(np.abs(np.array(numeric) - claimed)) < 1e-6, (n, j)
 
 
 def test_spacing_pdf_numeric_reports_nonconvergence():
     # at m <= 0.5 the y=0 integrand ~ x^(2m-2) is non-integrable; the
     # budgeted quadrature must fail loudly rather than return a number
-    idx = SpacingIndex(n=2, s=2, r=1)
+    idx = SpacingIndex(n=2, j=2)
     with pytest.raises(QuadratureError, match=r"on \[0, .*\] did not converge to 5e-10"):
         spacing_pdf_numeric(idx, GammaParams(0.4, 1.0), 0.0)
 
 
 def test_spacing_cdf_numeric_values():
-    idx = SpacingIndex(n=2, s=2, r=1)
+    idx = SpacingIndex(n=2, j=2)
     assert spacing_cdf_numeric(idx, GammaParams(1.0), 0.0) == 0.0
     assert abs(spacing_cdf_numeric(idx, GammaParams(1.0), math.log(2.0)) - 0.5) < 1e-8
     assert abs(spacing_cdf_numeric(idx, GammaParams(3.0), 40.0) - 1.0) < 1e-6
 
 
 def test_spacing_cdf_numeric_monotone_and_matches_exact():
-    idx = SpacingIndex(n=2, s=2, r=1)
+    idx = SpacingIndex(n=2, j=2)
     ys = [0.25, 0.5, 1.0, 2.0, 4.0]
     vals = [spacing_cdf_numeric(idx, GammaParams(2.0), y, tol=1e-8) for y in ys]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     for y, v in zip(ys, vals):
-        assert abs(v - y2_cdf_exact(2, y)) < 1e-7
+        assert abs(v - spacing_law(2, 2, 2).cdf(y)) < 1e-7
 
 
 def test_spacing_cdf_numeric_at_an_ulp_above_zero():
     # S(x+y)/S(x) rounds above 1 at y ~ 1e-15; the integrand must stay finite
-    idx = SpacingIndex(n=2, s=2, r=1)
+    idx = SpacingIndex(n=2, j=2)
     for y in (1.850641891615713e-15, 1e-12):
         v = spacing_cdf_numeric(idx, GammaParams(4.0), y, tol=1e-9)
         assert 0.0 <= v <= 1e-9
 
 
 def test_claimed_pdf_yj_values():
-    assert_allclose(claimed_pdf_yj(2, 2, 1.0, 1.0), math.exp(-1.0), rtol=1e-14)
+    assert_allclose(spacing_law(2, 2, 1.0, "claimed").pdf(1.0), math.exp(-1.0), rtol=1e-14)
     # Exp(rate 2) density at 0 for the second spacing of three
-    assert claimed_pdf_yj(3, 2, 1.0, 0.0) == 2.0
+    assert spacing_law(3, 2, 1.0, "claimed").pdf(0.0) == 2.0
     # m=2: claimed and true agree at y=1 yet differ at 0
-    assert_allclose(claimed_pdf_yj(2, 2, 2.0, 1.0), math.exp(-1.0), rtol=1e-14)
-    assert claimed_pdf_yj(2, 2, 2.0, 0.0) == 0.0
+    claimed = spacing_law(2, 2, 2.0, "claimed")
+    assert_allclose(claimed.pdf(1.0), math.exp(-1.0), rtol=1e-14)
+    assert claimed.pdf(0.0) == 0.0
     assert y2_pdf_exact(2, 0.0) == 0.5
 
 
 def test_claimed_cdf_yj_exponential():
     ys = np.linspace(0.0, 3.0, 40)
-    assert_allclose(claimed_cdf_yj(3, 2, 1.0, ys), 1.0 - np.exp(-2.0 * ys), atol=1e-14)
+    assert_allclose(spacing_law(3, 2, 1.0, "claimed").cdf(ys), 1.0 - np.exp(-2.0 * ys),
+                    atol=1e-14)
 
 
 def test_claimed_yj_validation():
     with pytest.raises(ValueError):
-        claimed_pdf_yj(3, 1, 1.0, 0.5)
+        spacing_law(3, 1, 1.0, "claimed")
     with pytest.raises(ValueError):
-        claimed_pdf_yj(3, 4, 1.0, 0.5)
+        spacing_law(3, 4, 1.0, "claimed")
 
 
 def test_density_curve_normalization_and_endpoints():
@@ -289,7 +285,7 @@ def test_density_curve_type_invariants():
 def test_quadrature_route_agrees_with_exact_on_grid():
     # module-level slice of the oracle-equivalence property (full sweep
     # in the acceptance suite)
-    idx = SpacingIndex(n=2, s=2, r=1)
+    idx = SpacingIndex(n=2, j=2)
     ys = np.linspace(0.0, 12.0, 25)
     for m in (1, 3):
         numeric = np.array(
@@ -299,21 +295,21 @@ def test_quadrature_route_agrees_with_exact_on_grid():
 
 
 def mpmath_spacing_law(idx, m, y, cdf):
-    """Density (``cdf=False``) or cdf of ``X_(s) - X_(r)`` at ``y`` for
-    unit-scale Gamma(m) samples, by 30-digit mpmath quadrature.
+    """Density (``cdf=False``) or cdf of ``Y_j = X_(j) - X_(j-1)`` at ``y``
+    for unit-scale Gamma(m) samples, by 30-digit mpmath quadrature.
 
     Independent of the package's routes: it uses mpmath's incomplete
-    gamma, and the cdf's inner integral is expanded binomially,
-    ``[S(x) - S(x+t)]^b = sum_k C(b, k) S(x)^(b-k) (-S(x+t))^k``, which
-    integrates in closed form, instead of the incomplete beta.  The outer
+    gamma, and the cdf's inner integral over ``X_(j)``,
+    ``int_x^(x+y) f(t) S(t)^c dt = (S(x)^(c+1) - S(x+y)^(c+1)) / (c+1)``,
+    is taken in closed form instead of as an incomplete beta.  The outer
     integral runs over ``u = x^m`` (``f(x) dx = exp(-x) du / G(m+1)``),
     where mpmath stays accurate for ``m < 1``; it stops at ``x = 40``,
     beyond which less than 1e-13 of the mass lies for these shapes.
     """
     with mp.workdps(30):
         m, y = mp.mpf(m), mp.mpf(y)
-        a, b, c = idx.r - 1, idx.s - idx.r - 1, idx.n - idx.s
-        coef = mp.factorial(idx.n) / (mp.factorial(a) * mp.factorial(b) * mp.factorial(c))
+        a, c = idx.j - 2, idx.n - idx.j
+        coef = mp.factorial(idx.n) / (mp.factorial(a) * mp.factorial(c))
         lgm = mp.loggamma(m)
 
         def F(x):
@@ -321,12 +317,9 @@ def mpmath_spacing_law(idx, m, y, cdf):
 
         def inner(x):
             if cdf:
-                sx, sxy = 1 - F(x), 1 - F(x + y)
-                return mp.fsum(mp.binomial(b, k) * (-1) ** k * sx ** (b - k)
-                               * (sx ** (k + c + 1) - sxy ** (k + c + 1)) / (k + c + 1)
-                               for k in range(b + 1))
+                return ((1 - F(x)) ** (c + 1) - (1 - F(x + y)) ** (c + 1)) / (c + 1)
             pdf_xy = mp.exp((m - 1) * mp.log(x + y) - (x + y) - lgm)
-            return (F(x + y) - F(x)) ** b * pdf_xy * (1 - F(x + y)) ** c
+            return pdf_xy * (1 - F(x + y)) ** c
 
         def integrand(u):
             x = u ** (1 / m)
@@ -335,12 +328,19 @@ def mpmath_spacing_law(idx, m, y, cdf):
         return float(coef * mp.quad(integrand, [t ** m for t in (0, 2, 40)]))
 
 
-ORACLE_CASES = [SpacingIndex.consecutive(3, 2), SpacingIndex.consecutive(4, 3),
-                SpacingIndex(5, 4, 2)]
+def case_id(value):
+    """``n<n>s<j>r<j-1>``, the ranks ``s = j`` and ``r = j-1`` of ``Y_j =
+    X_(s) - X_(r)``, for an index; ``m<m>`` for a shape."""
+    if isinstance(value, SpacingIndex):
+        return f"n{value.n}s{value.j}r{value.j - 1}"
+    return f"m{value}"
+
+
+ORACLE_CASES = [SpacingIndex(3, 2), SpacingIndex(4, 3), SpacingIndex(5, 4)]
 
 
 @pytest.mark.parametrize("m", [0.3, 0.5, 2.5])
-@pytest.mark.parametrize("idx", ORACLE_CASES, ids=lambda i: f"n{i.n}s{i.s}r{i.r}")
+@pytest.mark.parametrize("idx", ORACLE_CASES, ids=case_id)
 def test_numeric_routes_match_mpmath_oracle(idx, m):
     params = GammaParams(m)
     pdf = spacing_pdf_numeric(idx, params, 0.4)
@@ -352,20 +352,20 @@ def test_numeric_routes_match_mpmath_oracle(idx, m):
 def test_spacing_pdf_numeric_below_unit_shape_in_the_tail():
     # integrated in x instead of u = x^m, this point of the density --m 0.5
     # grid fails with "probably divergent"
-    idx, y = SpacingIndex.consecutive(3, 2), 6.9015
+    idx, y = SpacingIndex(3, 2), 6.9015
     pdf = spacing_pdf_numeric(idx, GammaParams(0.5), y)
     assert abs(pdf - mpmath_spacing_law(idx, 0.5, y, cdf=False)) < 1e-8
 
 
 def quad_spacing_law(idx, m, y, cdf):
-    """Density (``cdf=False``) or cdf of ``X_(s) - X_(r)`` at one ``y`` for
-    unit-scale Gamma(m) samples: the integrand of ``spacing_pdf_numeric``
-    or ``spacing_cdf_numeric``, integrated pointwise by scalar
-    ``scipy.integrate.quad`` over ``x`` (over ``u = x^m`` for ``m < 1``) to
-    an absolute 1e-12.
+    """Density (``cdf=False``) or cdf of ``Y_j = X_(j) - X_(j-1)`` at one
+    ``y`` for unit-scale Gamma(m) samples: the integrand of
+    ``spacing_pdf_numeric`` or ``spacing_cdf_numeric``, integrated
+    pointwise by scalar ``scipy.integrate.quad`` over ``x`` (over
+    ``u = x^m`` for ``m < 1``) to an absolute 1e-12.
     """
-    n, s, r = idx.n, idx.s, idx.r
-    a, b, c = r - 1, s - r - 1, n - s
+    n, j = idx.n, idx.j
+    a, c = j - 2, n - j
 
     def F(x):
         return special.gammainc(m, x)
@@ -378,10 +378,10 @@ def quad_spacing_law(idx, m, y, cdf):
 
     def inner(x):
         if cdf:
-            coef = math.factorial(n) / (math.factorial(a) * math.factorial(n - r))
-            return coef * F(x) ** a * S(x) ** (n - r) * special.betaincc(c + 1, b + 1, S(x + y) / S(x))
-        coef = math.factorial(n) / (math.factorial(a) * math.factorial(b) * math.factorial(c))
-        return coef * F(x) ** a * (F(x + y) - F(x)) ** b * f(x + y) * S(x + y) ** c
+            coef = math.factorial(n) / (math.factorial(a) * math.factorial(c + 1))
+            return coef * F(x) ** a * S(x) ** (c + 1) * special.betaincc(c + 1, 1, S(x + y) / S(x))
+        coef = math.factorial(n) / (math.factorial(a) * math.factorial(c))
+        return coef * F(x) ** a * f(x + y) * S(x + y) ** c
 
     upper = float(gamma_quantile(1.0 - 1e-14, GammaParams(m))) + (0.0 if cdf else y)
     if m >= 1:
@@ -394,12 +394,11 @@ def quad_spacing_law(idx, m, y, cdf):
     return value[0]
 
 
-ARRAY_CASES = [(SpacingIndex.consecutive(4, 3), 2.5), (SpacingIndex.consecutive(3, 2), 0.5),
-               (SpacingIndex.consecutive(5, 4), 0.3), (SpacingIndex(4, 4, 2), 2.0)]
+ARRAY_CASES = [(SpacingIndex(4, 3), 2.5), (SpacingIndex(3, 2), 0.5),
+               (SpacingIndex(5, 4), 0.3), (SpacingIndex(4, 4), 2.0)]
 
 
-@pytest.mark.parametrize("idx, m", ARRAY_CASES, ids=lambda v: (
-    f"n{v.n}s{v.s}r{v.r}" if isinstance(v, SpacingIndex) else f"m{v}"))
+@pytest.mark.parametrize("idx, m", ARRAY_CASES, ids=case_id)
 def test_numeric_routes_on_arrays_match_pointwise_quad(idx, m):
     # one shared subdivision for the whole array must keep every entry
     # within tol of its own pointwise quadrature
@@ -417,12 +416,12 @@ def test_spacing_law_pdf_at_a_tolerance_near_rounding_level():
     # estimate inside tol, which counts as converged
     law = spacing_law(3, 2, 0.5, tol=1e-12)
     curve = density_curve(law, 2.0 * float(gamma_quantile(1.0 - 1e-8, GammaParams(0.5))), 2001)
-    coarse = spacing_pdf_numeric(SpacingIndex.consecutive(3, 2), GammaParams(0.5), curve.grid)
+    coarse = spacing_pdf_numeric(SpacingIndex(3, 2), GammaParams(0.5), curve.grid)
     assert np.max(np.abs(curve.values - coarse)) < 1e-9
 
 
 def test_numeric_routes_return_a_float_for_a_scalar_and_zero_below_the_support():
-    idx, params = SpacingIndex.consecutive(4, 3), GammaParams(2.5)
+    idx, params = SpacingIndex(4, 3), GammaParams(2.5)
     for fn in (spacing_pdf_numeric, spacing_cdf_numeric):
         assert type(fn(idx, params, 1.0)) is float
         assert type(fn(idx, params, -1.0)) is float
@@ -439,7 +438,7 @@ def test_numeric_routes_reject_bad_input_before_any_quadrature(monkeypatch):
         raise AssertionError("quadrature ran")
 
     monkeypatch.setattr(spacings, "_adaptive_gk21", no_quadrature)
-    idx, params = SpacingIndex.consecutive(4, 3), GammaParams(2.5)
+    idx, params = SpacingIndex(4, 3), GammaParams(2.5)
     for fn in (spacing_pdf_numeric, spacing_cdf_numeric):
         for bad in ([1.0, math.nan], [math.inf, 1.0], [-math.inf], math.nan):
             with pytest.raises(ValueError, match="finite"):
@@ -455,7 +454,7 @@ def test_numeric_routes_reject_bad_input_before_any_quadrature(monkeypatch):
 def test_spacing_law_cdf_interpolates_pointwise_cdf(m, bound):
     law = spacing_law(3, 2, m)
     assert law.route == "numeric" and law.m == m
-    idx, params = SpacingIndex.consecutive(3, 2), GammaParams(m)
+    idx, params = SpacingIndex(3, 2), GammaParams(m)
     ys = np.geomspace(1e-6, 20.0, 60)
     pointwise = np.array([spacing_cdf_numeric(idx, params, y) for y in ys])
     assert np.max(np.abs(law.cdf(ys) - pointwise)) < bound
@@ -468,7 +467,7 @@ def test_spacing_law_cdf_interpolates_pointwise_cdf(m, bound):
 def test_monotone_cubic_matches_scipy_pchip_on_the_reference_cdf(m):
     # the 257-node reference cdf of spacing_law, flat at 1 over its top
     # nodes; law.cdf also clips y outside [0, ymax] to the end values
-    idx, params = SpacingIndex.consecutive(3, 2), GammaParams(m)
+    idx, params = SpacingIndex(3, 2), GammaParams(m)
     ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
     nodes = ymax * np.linspace(0.0, 1.0, spacings.CDF_NODES) ** 3
     values = np.maximum.accumulate(spacing_cdf_numeric(idx, params, nodes))
@@ -492,8 +491,7 @@ def test_monotone_cubic_matches_scipy_pchip_with_flat_runs_and_uneven_steps():
     assert np.all(fit[(ys >= 0.3) & (ys <= 1.0)] == 0.2)  # flat run stays flat
 
 
-@pytest.mark.parametrize("idx, m", ARRAY_CASES, ids=lambda v: (
-    f"n{v.n}s{v.s}r{v.r}" if isinstance(v, SpacingIndex) else f"m{v}"))
+@pytest.mark.parametrize("idx, m", ARRAY_CASES, ids=case_id)
 def test_adaptive_gk21_follows_quad_vec(idx, m, monkeypatch):
     # the same subdivision as scipy's quad_vec (GK21, max norm): equal
     # interval counts, values equal to rounding
@@ -523,7 +521,7 @@ def test_adaptive_gk21_stops_at_the_subdivision_limit():
     # bisect past the limit, so the run ends with exactly that many
     limit = spacings.SUBDIVISION_LIMIT
     with pytest.raises(QuadratureError, match=rf"in {limit} intervals \(limit {limit}\)"):
-        spacing_pdf_numeric(SpacingIndex(2, 2, 1), GammaParams(0.4), 0.0)
+        spacing_pdf_numeric(SpacingIndex(2, 2), GammaParams(0.4), 0.0)
 
 
 def test_spacing_law_resolves_routes():
@@ -534,12 +532,12 @@ def test_spacing_law_resolves_routes():
     exact = spacing_law(2, 2, 3.0)
     ys = np.linspace(0.0, 6.0, 7)
     assert np.array_equal(exact.pdf(ys), y2_pdf_exact(3, ys))
-    assert np.array_equal(exact.cdf(ys), y2_cdf_exact(3, ys))
+    assert np.array_equal(exact.cdf(ys), y2_mixture(3).cdf(ys))
     claimed = spacing_law(4, 3, 2.5, "claimed")
-    assert np.array_equal(claimed.pdf(ys), claimed_pdf_yj(4, 3, 2.5, ys))
-    assert np.array_equal(claimed.cdf(ys), claimed_cdf_yj(4, 3, 2.5, ys))
+    assert np.array_equal(claimed.pdf(ys), gamma_pdf(ys, GammaParams(2.5, 0.5)))
+    assert np.array_equal(claimed.cdf(ys), gamma_cdf(ys, GammaParams(2.5, 0.5)))
     numeric = spacing_law(4, 3, 2.5)
-    assert numeric.pdf(1.0) == spacing_pdf_numeric(SpacingIndex(4, 3, 2), GammaParams(2.5), 1.0)
+    assert numeric.pdf(1.0) == spacing_pdf_numeric(SpacingIndex(4, 3), GammaParams(2.5), 1.0)
     assert numeric.pdf(np.array([1.0])).shape == (1,)
     for args in [(3, 2, 3.0, "exact"), (2, 2, 2.5, "exact"), (2, 2, 0.5, "exact"),
                  (3, 2, 1.0, "exponential"), (3, 4, 1.0), (3, 2, 0.0), (3, 2, math.nan)]:
@@ -553,7 +551,7 @@ def test_spacing_law_resolves_routes():
 def test_density_curve_of_law_starts_half_a_step_in_below_unit_shape():
     below = density_curve(spacing_law(3, 2, 0.7, "claimed"), 4.0, 5)
     assert list(below.grid) == [0.5, 1.0, 2.0, 3.0, 4.0]
-    assert below.values[0] == claimed_pdf_yj(3, 2, 0.7, 0.5)
+    assert below.values[0] == gamma_pdf(0.5, GammaParams(0.7, 0.5))
     unit = density_curve(spacing_law(3, 2, 1.0, "claimed"), 4.0, 5)
     assert list(unit.grid) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
@@ -561,9 +559,7 @@ def test_density_curve_of_law_starts_half_a_step_in_below_unit_shape():
 @st.composite
 def spacing_cases(draw):
     n = draw(st.integers(2, 6))
-    r = draw(st.integers(1, n - 1))
-    s = draw(st.integers(r + 1, n))
-    return SpacingIndex(n, s, r), draw(st.floats(0.3, 10.0))
+    return SpacingIndex(n, draw(st.integers(2, n))), draw(st.floats(0.3, 10.0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -585,6 +581,6 @@ def test_spacing_cdf_numeric_is_a_distribution_function(case, ys):
 def test_spacing_law_cdf_is_monotone_on_arrays(case, ys):
     # the dense grid reaches the tail, where the cdf is flat to an ulp
     (idx, m), ys = case, np.concatenate([ys, np.linspace(-1.0, 60.0, 4001)])
-    values = spacing_law(idx.n, idx.s, m, "numeric").cdf(ys)  # the law of Y_s
+    values = spacing_law(idx.n, idx.j, m, "numeric").cdf(ys)
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert np.all(np.diff(values[np.argsort(ys)]) >= 0.0)

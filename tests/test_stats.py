@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from gammaspacings import (
     DegenerateSampleError,
     dixon_dk,
-    dixon_dk_refuted,
     z_k,
     z_k_telescoped,
 )
@@ -140,20 +139,6 @@ def test_dixon_dk_errors():
         dixon_dk([3.0, 3.0], 1)
     with pytest.raises(ValueError):
         dixon_dk([1.0, 2.0], 2)
-
-
-def test_dixon_dk_refuted_hand_values_and_location_dependence():
-    assert dixon_dk_refuted([1.0, 2.0, 4.0, 10.0], 1) == 0.6
-    assert dixon_dk_refuted([0.0, 5.0], 1) == 1.0
-    # shifting by +10 changes the refuted ratio but not the corrected one
-    shifted = [11.0, 12.0, 14.0, 20.0]
-    assert dixon_dk_refuted(shifted, 1) == 0.3
-    assert_allclose(dixon_dk(shifted, 1), dixon_dk([1.0, 2.0, 4.0, 10.0], 1), rtol=1e-15)
-
-
-def test_dixon_dk_refuted_zero_maximum():
-    with pytest.raises(ValueError):
-        dixon_dk_refuted([-3.0, -1.0, 0.0], 1)
 
 
 def test_statistics_accept_unordered_input():
