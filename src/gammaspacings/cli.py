@@ -146,14 +146,6 @@ def _parse_float_list(text, flag):
     return out
 
 
-def _check_stat_k(k, n):
-    """Statistic runs need ``1 <= k <= n-2``: at ``k = n-1`` both z_k and
-    d_k are identically 1, so the test could never reject."""
-    if not 1 <= k <= n - 2:
-        raise click.UsageError(f"--k must satisfy 1 <= k <= n-2 = {n - 2} for a statistic "
-                               f"run (at k = n-1 the statistic is identically 1), got {k}")
-
-
 class _Group(click.Group):
     def invoke(self, ctx):
         try:
@@ -236,8 +228,6 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
         raise click.UsageError("--stat requires --k")
     if j is not None and k is not None:
         raise click.UsageError("--k applies only to --stat runs")
-    if stat is not None:
-        _check_stat_k(k, n)
     cfg = SimulationConfig(n=n, m=m, sigma=sigma, reps=reps, seed=seed, k=k)
     if j is not None:
         sample = simulate_spacing(cfg, j, workers=workers)
@@ -338,7 +328,6 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
 def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output):
     """Tabulate empirical critical values of a statistic's null."""
     alphas = _parse_float_list(alpha_list, "--alpha")
-    _check_stat_k(k, n)
     cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     sample = simulate_statistic(cfg, stat, workers=workers)
     crits = [critical_value(sample, a) for a in alphas]
@@ -401,7 +390,6 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     if len(values) < 2:
         raise CliError(f"{datafile}: need at least 2 observations, got {len(values)}")
     n = len(values)
-    _check_stat_k(k, n)
     cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     observed = float(REDUCTIONS[stat](np.sort(values)[np.newaxis], k)[0])
     null = simulate_statistic(cfg, stat, workers=workers)
@@ -445,11 +433,8 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
 def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
     """Estimate rejection rates under scale slippage of the top k values."""
     bs = _parse_float_list(b_list, "--b")
-    _check_stat_k(k, n)
-    null_cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
-    null = simulate_statistic(null_cfg, stat, workers=workers)
-    alt_cfg = SimulationConfig(n=n, m=m, reps=reps, seed=(seed + 1) % 2**64, k=k)
-    powers = simulate_power(alt_cfg, bs, alpha, null, workers=workers)
+    cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
+    powers = simulate_power(cfg, stat, bs, alpha, workers=workers)
     ses = [math.sqrt(p * (1.0 - p) / reps) for p in powers]
     params = {"n": n, "m": m, "k": k, "b": b_list, "stat": stat, "alpha": alpha,
               "reps": reps, "seed": seed, "format": fmt, "output": output}
@@ -457,7 +442,7 @@ def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
     for b, p, s in rows:
         click.echo(f"b={b:g}  power={p:.4f}  se={s:.4f}")
     _write(_File(f"{output}.{fmt}", fmt,
-                 doc={"statistic": stat, "config": null.config.as_dict(), "alpha": alpha,
+                 doc={"statistic": stat, "config": cfg.as_dict(), "alpha": alpha,
                       "rows": [{"b": b, "power": p, "se": s} for b, p, s in rows]},
                  comments={key: params[key] for key in ("stat", "n", "m", "k", "alpha",
                                                          "reps", "seed")},

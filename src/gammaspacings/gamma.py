@@ -12,6 +12,7 @@ independent of how many other streams were created before it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,11 @@ class RngStream:
     def __post_init__(self):
         for name in ("seed", "stream_index"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if not 0 <= value < 2**64:
                 raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+            object.__setattr__(self, name, int(value))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

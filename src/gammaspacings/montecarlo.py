@@ -5,10 +5,11 @@ replications ``[b * BLOCK, (b + 1) * BLOCK)`` and draws them, row by
 row, from the counter-based substream ``(seed, b)``.  A run is
 therefore reproducible bit for bit regardless of execution order or
 the number of workers, and any block can be regenerated in isolation.
-A power sweep takes plain slippage factors ``b >= 1``, which scale the
-top ``config.k`` draws; it draws each block once and evaluates every
-factor on those draws (common random numbers), so each factor's rate
-is the one a run with that factor alone gives.
+A power sweep simulates its own null from ``seed`` and its sweep from
+``seed + 1`` (mod 2**64).  It takes plain slippage factors ``b >= 1``,
+which scale the top ``config.k`` draws; it draws each block once and
+evaluates every factor on those draws (common random numbers), so each
+factor's rate is the one a run with that factor alone gives.
 ``STREAM_LAYOUT`` names this layout; it changes whenever the mapping
 from seed to simulated values does.
 
@@ -32,7 +33,7 @@ import bisect
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .spacings import SpacingIndex
 from .stats import REDUCTIONS
 
 __all__ = [
-    "ConfigMismatchError",
     "DegenerateDrawError",
     "NonFiniteDrawError",
     "SimulationConfig",
@@ -62,10 +62,6 @@ STREAM_LAYOUT = f"philox-block-{BLOCK}/v2"
 MAX_REDRAW_ROUNDS = 100
 
 
-class ConfigMismatchError(ValueError):
-    """Simulation inputs describe incompatible configurations."""
-
-
 class DegenerateDrawError(RuntimeError):
     """Redraws did not produce a sample with two distinct values."""
 
@@ -78,9 +74,10 @@ class NonFiniteDrawError(RuntimeError):
 class SimulationConfig:
     """Parameters of a Monte Carlo run.
 
-    ``k`` is required only for statistic simulations.  ``sigma`` scales
-    spacing draws; statistic nulls are scale-free and carry it as
-    metadata only.
+    ``k`` is required only for statistic simulations, and there it must
+    satisfy ``1 <= k <= n-2``: at ``k = n-1`` both z_k and d_k are
+    identically 1, so no test could reject.  ``sigma`` scales spacing
+    draws; statistic nulls are scale-free and carry it as metadata only.
     """
 
     n: int
@@ -108,9 +105,10 @@ class SimulationConfig:
         if self.k is not None:
             if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
                 raise TypeError(f"k must be an integer, got {self.k!r}")
-            if not 1 <= self.k <= self.n - 1:
+            if not 1 <= self.k <= self.n - 2:
                 raise ValueError(
-                    f"k must satisfy 1 <= k <= n-1 = {self.n - 1}, got {self.k}"
+                    f"k must satisfy 1 <= k <= n-2 = {self.n - 2} (at k = n-1 z_k "
+                    f"and d_k are identically 1), got {self.k}"
                 )
             object.__setattr__(self, "k", int(self.k))
 
@@ -310,54 +308,41 @@ def _rejection_threshold(sample: EmpiricalSample, alpha) -> float:
     return float(sample.values[reps - allowed]) if allowed else math.inf
 
 
-def simulate_power(config: SimulationConfig, bs, alpha, null_sample: EmpiricalSample,
-                   workers=1) -> list[float]:
-    """Rejection rate under each scale-slippage factor in ``bs``, against
-    a simulated null.
+def simulate_power(config: SimulationConfig, which, bs, alpha, workers=1) -> list[float]:
+    """Rejection rate of the statistic ``which`` (``"zk"`` or ``"dk"``)
+    under each scale-slippage factor in ``bs``.
 
-    Under slippage factor ``b >= 1`` the top ``config.k`` of the ``n``
-    draws come from ``Gamma(m, b * sigma)``; ``b == 1`` recovers the null.
-    The statistic is taken from ``null_sample.statistic_name``.  Each
-    replication draws ``n`` unit-scale variates once; for each factor it
-    multiplies the last ``config.k`` of them by ``b`` and rejects when the
-    statistic's add-one p-value against ``null_sample`` is at most
-    ``alpha`` (Phipson & Smyth 2010), the decision ``test`` makes.  The
-    factors thus share their draws (common random numbers): each rate
-    keeps its own binomial law, and rate ``i`` is bit for bit that of a
-    call with ``[bs[i]]`` alone, while differences between rates vary
-    less than with independent draws.  Each block is reduced to
+    The null is ``simulate_statistic(config, which, workers)``; the sweep
+    draws from ``config`` with seed ``(config.seed + 1) % 2**64``.  Under
+    slippage factor ``b >= 1`` the top ``config.k`` of the ``n`` draws
+    come from ``Gamma(m, b * sigma)``; ``b == 1`` recovers the null.
+    Each replication draws ``n`` unit-scale variates once; for each
+    factor it multiplies the last ``config.k`` of them by ``b`` and
+    rejects when the statistic's add-one p-value against the null is at
+    most ``alpha`` (Phipson & Smyth 2010), the decision ``test`` makes.
+    The factors thus share their draws (common random numbers): each
+    rate keeps its own binomial law, and rate ``i`` is bit for bit that
+    of a call with ``[bs[i]]`` alone, while differences between rates
+    vary less than with independent draws.  Each block is reduced to
     rejection flags, so no per-replication statistic is kept.
 
     Raises
     ------
-    ConfigMismatchError
-        If the null sample is not a statistic null, or its ``n``/``m``/
-        ``k`` disagree with ``config``.
     ValueError
         If ``bs`` is empty or a factor is not finite and ``>= 1``, or
-        ``alpha`` is outside ``(0, 1)``.
+        ``alpha`` is outside ``(0, 1)`` (both checked before the null is
+        simulated), or ``simulate_statistic`` rejects ``config`` or
+        ``which``.
     """
-    which = null_sample.statistic_name
-    if which not in REDUCTIONS:
-        raise ConfigMismatchError(
-            f"null sample records {which!r}, not a discordancy statistic"
-        )
-    if config.k is None:
-        raise ValueError("config.k is required for power simulation")
-    null_cfg = null_sample.config
-    if (config.n, config.m, config.k) != (null_cfg.n, null_cfg.m, null_cfg.k):
-        raise ConfigMismatchError(
-            "null sample was simulated for "
-            f"(n={null_cfg.n}, m={null_cfg.m}, k={null_cfg.k}), "
-            f"not (n={config.n}, m={config.m}, k={config.k})"
-        )
     bs = np.asarray(bs, dtype=float)
     if bs.ndim != 1 or bs.size == 0 or not np.all(np.isfinite(bs) & (bs >= 1.0)):
         raise ValueError("slippage factors must be a non-empty list of finite "
                          f"values >= 1, got {bs.tolist()}")
-    threshold = _rejection_threshold(null_sample, _check_alpha(alpha))
+    alpha = _check_alpha(alpha)
+    threshold = _rejection_threshold(simulate_statistic(config, which, workers), alpha)
     scales = np.ones((bs.size, config.n))
     scales[:, config.n - config.k :] = bs[:, np.newaxis]
     stat = REDUCTIONS[which]
-    flags = _simulate(config, lambda xs: stat(xs, config.k) > threshold, scales, workers)
+    flags = _simulate(replace(config, seed=(config.seed + 1) % 2**64),
+                      lambda xs: stat(xs, config.k) > threshold, scales, workers)
     return flags.mean(axis=1).tolist()

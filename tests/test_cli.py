@@ -239,20 +239,28 @@ def test_overflowing_draws_exit_two(runner, command):
         assert list(Path(".").iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [
-    ["simulate", "--n", "4", "--m", "1", "--stat", "zk", "--k", "3"],
-    ["simulate", "--n", "2", "--m", "1", "--stat", "dk", "--k", "1"],
-    ["critical-values", "--n", "4", "--m", "1", "--k", "3"],
-    ["test", "data.txt", "--k", "3", "--m", "1"],
-    ["power", "--n", "4", "--m", "1", "--k", "3", "--b", "1,2"],
-], ids=["simulate", "simulate-n2", "critical-values", "test", "power"])
-def test_statistic_runs_reject_k_of_n_minus_one(runner, command):
-    # at k = n-1 both statistics are identically 1: no run can reject
+_STATISTIC_RUNS = {  # id: (n, arguments besides --k)
+    "simulate": (4, ["simulate", "--n", "4", "--m", "1", "--stat", "zk"]),
+    "simulate-n2": (2, ["simulate", "--n", "2", "--m", "1", "--stat", "dk"]),
+    "critical-values": (4, ["critical-values", "--n", "4", "--m", "1"]),
+    "test": (4, ["test", "data.txt", "--m", "1"]),
+    "power": (4, ["power", "--n", "4", "--m", "1", "--b", "1,2"]),
+}
+
+
+@pytest.mark.parametrize(
+    "n, command, k",
+    [pytest.param(n, args, n - 1, id=name) for name, (n, args) in _STATISTIC_RUNS.items()]
+    + [pytest.param(n, args, 0, id=f"{name}-k0") for name, (n, args) in _STATISTIC_RUNS.items()])
+def test_statistic_runs_reject_k_of_n_minus_one(runner, n, command, k):
+    # at k = n-1 both statistics are identically 1: no run can reject.
+    # SimulationConfig rejects it, and k = 0, with its own message.
     with runner.isolated_filesystem():
         Path("data.txt").write_text("1.0\n2.0\n3.0\n9.0\n")
-        result = runner.invoke(main, command + ["--reps", "10", "--seed", "1"])
+        result = runner.invoke(main, command + ["--k", str(k), "--reps", "10", "--seed", "1"])
         assert result.exit_code == 2
-        assert "k <= n-2" in result.output
+        assert f"Error: k must satisfy 1 <= k <= n-2 = {n - 2} " in result.output
+        assert "Traceback" not in result.output
         assert sorted(p.name for p in Path(".").iterdir()) == ["data.txt"]
 
 
@@ -811,10 +819,9 @@ def _critical_values_expected(fmt):
 
 
 def _power_expected(fmt):
-    null = simulate_statistic(SimulationConfig(n=6, m=2.0, reps=300, seed=4, k=1), "zk")
     bs = [1.0, 3.0]
-    cfg = SimulationConfig(n=6, m=2.0, reps=300, seed=5, k=1)
-    powers = simulate_power(cfg, bs, 0.05, null)
+    powers = simulate_power(SimulationConfig(n=6, m=2.0, reps=300, seed=4, k=1), "zk", bs,
+                            0.05)
     ses = [(p * (1.0 - p) / 300) ** 0.5 for p in powers]
     params = {"n": 6, "m": 2.0, "k": 1, "b": "1,3", "stat": "zk", "alpha": 0.05,
               "reps": 300, "seed": 4, "format": fmt, "output": "power"}

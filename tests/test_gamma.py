@@ -101,6 +101,16 @@ def test_rngstream_validation():
         RngStream(0, 2**64)
     with pytest.raises(TypeError):
         RngStream(1.5, 0)
+    with pytest.raises(TypeError):
+        RngStream(True, 0)
+    with pytest.raises(ValueError):
+        RngStream(np.int64(-1), 0)
+    # numpy integers are integers: stored as int, same stream bit for bit
+    stream = RngStream(np.int64(3), np.int64(7))
+    assert type(stream.seed) is int and type(stream.stream_index) is int
+    assert stream == RngStream(3, 7)
+    assert np.array_equal(stream.generator().gamma(2.5, size=64),
+                          RngStream(3, 7).generator().gamma(2.5, size=64))
 
 
 def test_gamma_sample_deterministic_per_stream():

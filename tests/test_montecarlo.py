@@ -1,13 +1,13 @@
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gammaspacings import (
-    ConfigMismatchError,
     DegenerateDrawError,
     EmpiricalSample,
     SimulationConfig,
@@ -19,13 +19,14 @@ from gammaspacings import (
     simulate_statistic,
     spacing_law,
 )
+from gammaspacings import montecarlo
 from gammaspacings.montecarlo import BLOCK, _simulate
 from gammaspacings.stats import REDUCTIONS
 
 
 def toy_sample(values, reps=None, name="zk"):
     values = np.asarray(values, dtype=float)
-    cfg = SimulationConfig(n=2, m=1.0, reps=reps or values.size, seed=1, k=1)
+    cfg = SimulationConfig(n=3, m=1.0, reps=reps or values.size, seed=1, k=1)
     return EmpiricalSample(values=values, config=cfg, statistic_name=name)
 
 
@@ -42,10 +43,13 @@ def test_simulation_config_validation():
         SimulationConfig(n=2, m=1.0, reps=10, seed=2**64)
     with pytest.raises(ValueError):
         SimulationConfig(n=5, m=1.0, reps=10, seed=0, k=5)
+    for k in (0, 4):  # at k = n-1 both statistics are identically 1
+        with pytest.raises(ValueError, match=r"1 <= k <= n-2 = 3 \(at k = n-1"):
+            SimulationConfig(n=5, m=1.0, reps=10, seed=0, k=k)
     with pytest.raises(TypeError):
         SimulationConfig(n=2, m=1.0, reps=10.5, seed=0)
-    cfg = SimulationConfig(n=5, m=2, reps=10, seed=3, k=4)
-    assert cfg.m == 2.0 and cfg.k == 4
+    cfg = SimulationConfig(n=5, m=2, reps=10, seed=3, k=3)
+    assert cfg.m == 2.0 and cfg.k == 3
 
 
 def test_empirical_sample_validation():
@@ -100,9 +104,8 @@ def test_simulate_spacing_mixture_mean():
 
 
 def test_simulate_statistic_ranges():
-    zk = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=1000, seed=3, k=4), "zk")
+    zk = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=1000, seed=3, k=3), "zk")
     assert np.all((zk.values > 0) & (zk.values <= 1))
-    assert np.all(zk.values == 1.0)  # k = n-1 collapses to 1 exactly
     dk = simulate_statistic(SimulationConfig(n=4, m=2.0, reps=1000, seed=4, k=1), "dk")
     assert np.all((dk.values >= 0) & (dk.values <= 1))
 
@@ -238,34 +241,31 @@ def test_p_value_of_critical_value_bound():
 
 
 def test_simulate_power_null_recovery():
-    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1), "zk")
     est = simulate_power(
-        SimulationConfig(n=5, m=1.0, reps=10**4, seed=22, k=1),
+        SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1),
+        "zk",
         [1.0 + 1e-9],
         0.05,
-        null,
     )[0]
     assert abs(est - 0.05) < 3 * math.sqrt(0.05 * 0.95 / 10**4)
 
 
 def test_simulate_power_extreme_slippage():
-    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1), "zk")
     est = simulate_power(
-        SimulationConfig(n=5, m=1.0, reps=10**4, seed=22, k=1),
+        SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1),
+        "zk",
         [1000.0],
         0.05,
-        null,
     )[0]
     assert est > 0.9
 
 
 def test_simulate_power_dominates_alpha_half():
-    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1), "zk")
     est = simulate_power(
-        SimulationConfig(n=5, m=1.0, reps=10**4, seed=22, k=1),
+        SimulationConfig(n=5, m=1.0, reps=10**4, seed=21, k=1),
+        "zk",
         [2.0],
         0.5,
-        null,
     )[0]
     assert est >= 0.5
 
@@ -273,34 +273,32 @@ def test_simulate_power_dominates_alpha_half():
 @settings(max_examples=20, deadline=None)
 @given(alpha=st.floats(1e-4, 0.6), seed=st.integers(0, 2**32), reps=st.integers(1, 300),
        which=st.sampled_from(["zk", "dk"]))
+@example(alpha=0.1, seed=2**64 - 1, reps=300, which="dk")  # the sweep seed wraps to 0
 def test_simulate_power_rejects_iff_p_at_most_alpha(alpha, seed, reps, which):
-    # at b = 1 the sweep redraws exactly the statistic sample of its config
-    null = simulate_statistic(SimulationConfig(n=6, m=2.0, reps=200, seed=1, k=2), which)
+    # the null is the statistic sample of the config, the sweep that of seed + 1
     cfg = SimulationConfig(n=6, m=2.0, reps=reps, seed=seed, k=2)
-    drawn = simulate_statistic(cfg, which).values
+    null = simulate_statistic(cfg, which)
+    drawn = simulate_statistic(replace(cfg, seed=(seed + 1) % 2**64), which).values
     expected = np.mean([p_value(null, v) <= alpha for v in drawn])
-    assert simulate_power(cfg, [1.0], alpha, null) == [expected]
+    assert simulate_power(cfg, which, [1.0], alpha) == [expected]
 
 
-def test_simulate_power_config_mismatches():
-    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1), "zk")
-    good = SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=1)
-    with pytest.raises(ConfigMismatchError):
-        simulate_power(SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=2), [2.0], 0.05,
-                       null)
-    with pytest.raises(ConfigMismatchError):
-        simulate_power(SimulationConfig(n=6, m=1.0, reps=200, seed=2, k=1),
-                       [2.0], 0.05, null)
-    spacing_null = simulate_spacing(SimulationConfig(n=5, m=1.0, reps=200, seed=1), 2)
-    with pytest.raises(ConfigMismatchError):
-        simulate_power(good, [2.0], 0.05, spacing_null)
+def test_simulate_power_checks_inputs_before_the_null(monkeypatch):
+    def no_null(*args, **kwargs):
+        raise AssertionError("null simulated before the inputs were checked")
+
+    monkeypatch.setattr(montecarlo, "simulate_statistic", no_null)
+    cfg = SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1)
+    with pytest.raises(ValueError, match="slippage factors must be a non-empty list"):
+        simulate_power(cfg, "zk", [math.nan], 0.05)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+        simulate_power(cfg, "zk", [2.0], 1.0)
 
 
 def test_simulate_power_worker_invariant():
-    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=500, seed=1, k=1), "zk")
-    cfg = SimulationConfig(n=5, m=1.0, reps=500, seed=2, k=1)
-    assert simulate_power(cfg, [2.0], 0.05, null) == simulate_power(
-        cfg, [2.0], 0.05, null, workers=4
+    cfg = SimulationConfig(n=5, m=1.0, reps=500, seed=1, k=1)
+    assert simulate_power(cfg, "zk", [2.0], 0.05) == simulate_power(
+        cfg, "zk", [2.0], 0.05, workers=4
     )
 
 
@@ -310,10 +308,9 @@ def test_simulate_power_worker_invariant():
        seed=st.integers(0, 2**32), reps=st.integers(1, BLOCK + 50),
        m=st.sampled_from([2.0, 0.7]), which=st.sampled_from(["zk", "dk"]))
 def test_power_sweep_row_equals_its_one_alternative_run(bs, seed, reps, m, which):
-    null = simulate_statistic(SimulationConfig(n=3, m=m, reps=200, seed=1, k=1), which)
     cfg = SimulationConfig(n=3, m=m, reps=reps, seed=seed, k=1)
-    sweep = simulate_power(cfg, bs, 0.05, null)
-    assert sweep == [simulate_power(cfg, [b], 0.05, null)[0] for b in bs]
+    sweep = simulate_power(cfg, which, bs, 0.05)
+    assert sweep == [simulate_power(cfg, which, [b], 0.05)[0] for b in bs]
 
 
 @pytest.mark.parametrize("m", [0.002, 1e31])
@@ -332,27 +329,24 @@ def test_each_scale_replays_the_blocks_redraws(m):
 
 
 def test_power_sweep_worker_invariant():
-    null = simulate_statistic(SimulationConfig(n=6, m=2.0, reps=500, seed=1, k=2), "dk")
-    cfg = SimulationConfig(n=6, m=2.0, reps=2 * BLOCK + 7, seed=2, k=2)
+    cfg = SimulationConfig(n=6, m=2.0, reps=2 * BLOCK + 7, seed=1, k=2)
     bs = [1.0, 1.5, 3.0]
-    sweep = simulate_power(cfg, bs, 0.05, null)
-    assert sweep == simulate_power(cfg, bs, 0.05, null, workers=4)
+    sweep = simulate_power(cfg, "dk", bs, 0.05)
+    assert sweep == simulate_power(cfg, "dk", bs, 0.05, workers=4)
     assert sweep[0] < sweep[1] < sweep[2]
 
 
 def test_slippage_alternative_validation():
     # A slippage factor is finite and >= 1; 1 itself is the null.
-    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1), "zk")
-    cfg = SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=1)
-    assert len(simulate_power(cfg, [1.0], 0.05, null)) == 1
+    cfg = SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1)
+    assert len(simulate_power(cfg, "zk", [1.0], 0.05)) == 1
     for b in (0.99, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="slippage factors must be a non-empty list"):
-            simulate_power(cfg, [b], 0.05, null)
+            simulate_power(cfg, "zk", [b], 0.05)
 
 
 def test_power_sweep_checks_every_alternative():
-    null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1), "zk")
-    cfg = SimulationConfig(n=5, m=1.0, reps=200, seed=2, k=1)
+    cfg = SimulationConfig(n=5, m=1.0, reps=200, seed=1, k=1)
     for bs in ([], [0.99, 2.0], [2.0, math.nan], [2.0, 3.0, math.inf], [[2.0, 3.0]]):
         with pytest.raises(ValueError, match="slippage factors must be a non-empty list"):
-            simulate_power(cfg, bs, 0.05, null)
+            simulate_power(cfg, "zk", bs, 0.05)
