@@ -12,8 +12,11 @@ with the same parameters and seed are byte-identical (timestamps live
 only in the ``<output>.manifest.json`` sidecar).
 
 Each input is checked once, before the first file is written: the
-library raises ``ValueError`` for what it uses, and ``_Group.invoke``
-turns that and its numeric failures into ``Error: <message>``, exit 2.
+library raises ``ValueError`` for what it uses (``--workers`` and
+``--bins`` included), ``validate --alpha`` goes through the library's
+one (0, 1) check, and ``_Group.invoke`` turns these and the numeric
+failures into ``Error: <message>``, exit 2.  The CLI itself checks only
+option syntax, the ``--j``/``--stat``/``--k`` combination and DATAFILE.
 
 Every file, manifests included, is rendered and written by ``_write``,
 in one call per command, so a run leaves all of its files or none:
@@ -35,7 +38,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .gamma import GammaParams, gamma_quantile
+from .gamma import GammaParams, _level, gamma_quantile
 from .gof import histogram, ks_test
 from .montecarlo import (
     STREAM_LAYOUT,
@@ -48,7 +51,7 @@ from .montecarlo import (
     simulate_spacing,
     simulate_statistic,
 )
-from .spacings import QuadratureError, density_curve, spacing_law
+from .spacings import EXACT_MAX_M, QuadratureError, density_curve, spacing_law
 from .stats import REDUCTIONS
 
 
@@ -169,8 +172,8 @@ def main():
 @click.option("--which", type=click.Choice(["exact", "claimed", "numeric", "all"]),
               default="all", show_default=True,
               help="Curve(s) to tabulate. 'all' = the true density (exact "
-                   "when n=j=2 and m is an integer >= 1, else numeric) plus "
-                   "the claimed Gamma(m, 1/(n-j+1)) law.")
+                   f"when n=j=2 and m is an integer from 1 to {EXACT_MAX_M}, "
+                   "else numeric) plus the claimed Gamma(m, 1/(n-j+1)) law.")
 @click.option("--ymax", type=float, default=None,
               help="Grid endpoint [default: 0.9999 quantile of Gamma(m, 1)].")
 @click.option("--points", type=int, default=201, show_default=True,
@@ -213,9 +216,9 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
 @click.option("--reps", type=int, default=10000, show_default=True,
               help="Monte Carlo replications.")
 @click.option("--seed", type=int, required=True, help="RNG seed (required).")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+@click.option("--workers", type=int, default=1, show_default=True,
               help="Worker threads; results are identical for any count.")
-@click.option("--bins", type=click.IntRange(min=1), default=None,
+@click.option("--bins", type=int, default=None,
               help="Also write an area-normalized histogram with this many bins.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
@@ -262,7 +265,7 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
 @click.option("--seed", type=int, required=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True,
               help="KS rejection level.")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+@click.option("--workers", type=int, default=1, show_default=True,
               help="Worker threads; results are identical for any count.")
 @click.option("--output", type=click.Path(), default="validate", show_default=True)
 def validate(m_list, n, j, reps, seed, alpha, workers, output):
@@ -275,8 +278,7 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
     m = 1.
     """
     shapes = _parse_float_list(m_list, "--m")
-    if not 0.0 < alpha < 1.0:
-        raise click.UsageError(f"--alpha must be in (0, 1), got {alpha}")
+    alpha = _level("alpha", alpha)  # the library never sees it
     rows = []
     for m in shapes:
         cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed)
@@ -319,7 +321,7 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
               show_default=True, help="Comma-separated levels.")
 @click.option("--reps", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+@click.option("--workers", type=int, default=1, show_default=True,
               help="Worker threads; results are identical for any count.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
@@ -353,7 +355,7 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--reps", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+@click.option("--workers", type=int, default=1, show_default=True,
               help="Worker threads; results are identical for any count.")
 @click.option("--output", type=click.Path(), default=None,
               help="Also write the JSON report (plus manifest) to this stem.")
@@ -425,7 +427,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
 @click.option("--reps", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, required=True,
               help="RNG seed: null from seed, every sweep row from seed+1.")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+@click.option("--workers", type=int, default=1, show_default=True,
               help="Worker threads; results are identical for any count.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)

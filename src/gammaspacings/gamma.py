@@ -27,11 +27,32 @@ __all__ = [
 ]
 
 
+def _integer(name, value, low=None) -> int:
+    """``value`` as an ``int``: any integer, numpy's included, but not a
+    ``bool``; ``ValueError`` below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _level(name, value) -> float:
+    """``value`` as a float strictly inside (0, 1); ``ValueError`` otherwise,
+    nan included."""
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GammaParams:
     """Shape ``m`` and scale ``sigma`` of a Gamma distribution.
 
-    Both must be finite and strictly positive.
+    Both must be real numbers (numpy's included, ``bool`` not), finite
+    and strictly positive.
     """
 
     m: float
@@ -40,7 +61,7 @@ class GammaParams:
     def __post_init__(self):
         for name in ("m", "sigma"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -63,12 +84,10 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_index"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            value = _integer(name, getattr(self, name))
             if not 0 <= value < 2**64:
                 raise ValueError(f"{name} must be in [0, 2**64), got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

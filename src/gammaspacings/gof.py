@@ -10,11 +10,12 @@ spacing law comes from ``spacings.spacing_law``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from .gamma import _integer
 
 __all__ = [
     "KsResult",
@@ -98,10 +99,7 @@ def ks_pvalue(statistic, sample_size) -> float:
     d = float(statistic)
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"statistic must be in [0, 1], got {d!r}")
-    if isinstance(sample_size, bool) or not isinstance(sample_size, numbers.Integral):
-        raise TypeError(f"sample_size must be an integer, got {sample_size!r}")
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
+    sample_size = _integer("sample_size", sample_size, 1)
     if d == 0.0:
         return 1.0
     sqrt_n = math.sqrt(sample_size)
@@ -136,10 +134,6 @@ def histogram(sample, bins) -> Histogram:
         raise ValueError("sample must be a nonempty 1-D array")
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample must be finite")
-    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral):
-        raise TypeError(f"bins must be an integer, got {bins!r}")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    counts, edges = np.histogram(arr, bins=int(bins))
+    counts, edges = np.histogram(arr, bins=_integer("bins", bins, 1))
     return Histogram(bin_edges=edges, densities=counts / (arr.size * np.diff(edges)),
                      count=arr.size)

@@ -24,20 +24,22 @@ An ``EmpiricalSample`` holds the sorted values and their config (it
 rejects unsorted values, so ``critical_value``, ``p_value`` and the
 power threshold read ranks off it directly); the CLI's one writer
 renders it as CSV or JSON.  Each input is checked once, by the function
-that uses it, and a rejected one raises ``ValueError`` (CLI exit 2).
+that uses it, and a rejected one raises ``ValueError`` (CLI exit 2);
+integers (``n``, ``reps``, ``k``, ``workers``) and levels (``alpha``)
+go through ``gamma``'s one integer and one (0, 1) check, and ``seed``
+through ``RngStream``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gamma import GammaParams, RngStream
+from .gamma import GammaParams, RngStream, _integer, _level
 from .spacings import SpacingIndex
 from .stats import REDUCTIONS
 
@@ -88,29 +90,20 @@ class SimulationConfig:
     k: int | None = None
 
     def __post_init__(self):
-        for name in ("n", "reps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "n", _integer("n", self.n, 2))
+        object.__setattr__(self, "reps", _integer("reps", self.reps, 1))
+        object.__setattr__(self, "seed", RngStream(self.seed).seed)  # validates it
         params = GammaParams(self.m, self.sigma)  # validates both
         object.__setattr__(self, "m", params.m)
         object.__setattr__(self, "sigma", params.sigma)
         if self.k is not None:
-            if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-                raise TypeError(f"k must be an integer, got {self.k!r}")
-            if not 1 <= self.k <= self.n - 2:
+            k = _integer("k", self.k)
+            if not 1 <= k <= self.n - 2:
                 raise ValueError(
                     f"k must satisfy 1 <= k <= n-2 = {self.n - 2} (at k = n-1 z_k "
-                    f"and d_k are identically 1), got {self.k}"
+                    f"and d_k are identically 1), got {k}"
                 )
-            object.__setattr__(self, "k", int(self.k))
+            object.__setattr__(self, "k", k)
 
     def as_dict(self) -> dict:
         return {
@@ -145,14 +138,6 @@ class EmpiricalSample:
         if np.any(np.diff(values) < 0):
             raise ValueError("values must be sorted ascending")
         object.__setattr__(self, "values", values)
-
-
-def _check_workers(workers) -> int:
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
-        raise TypeError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return int(workers)
 
 
 def _simulate(config: SimulationConfig, reduce, scales, workers) -> np.ndarray:
@@ -211,7 +196,7 @@ def _simulate(config: SimulationConfig, reduce, scales, workers) -> np.ndarray:
             out[i] = values
         return out
 
-    with ThreadPoolExecutor(max_workers=_check_workers(workers)) as pool:
+    with ThreadPoolExecutor(max_workers=_integer("workers", workers, 1)) as pool:
         return np.concatenate(list(pool.map(block, range(-(-reps // BLOCK)))), axis=1)
 
 
@@ -258,7 +243,7 @@ def critical_value(sample: EmpiricalSample, alpha) -> float:
     The ``ceil((1 - alpha) * R)``-th smallest simulated value (1-based),
     i.e. the inverted ECDF at ``1 - alpha``.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _level("alpha", alpha)
     reps = sample.values.size
     index = min(max(math.ceil((1.0 - alpha) * reps), 1), reps)
     return float(sample.values[index - 1])
@@ -282,13 +267,6 @@ def p_value(sample: EmpiricalSample, observed) -> float:
 
 def _add_one_p(count_ge, reps) -> float:
     return (1 + count_ge) / (1 + reps)
-
-
-def _check_alpha(alpha) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    return alpha
 
 
 def _rejection_threshold(sample: EmpiricalSample, alpha) -> float:
@@ -338,7 +316,7 @@ def simulate_power(config: SimulationConfig, which, bs, alpha, workers=1) -> lis
     if bs.ndim != 1 or bs.size == 0 or not np.all(np.isfinite(bs) & (bs >= 1.0)):
         raise ValueError("slippage factors must be a non-empty list of finite "
                          f"values >= 1, got {bs.tolist()}")
-    alpha = _check_alpha(alpha)
+    alpha = _level("alpha", alpha)
     threshold = _rejection_threshold(simulate_statistic(config, which, workers), alpha)
     scales = np.ones((bs.size, config.n))
     scales[:, config.n - config.k :] = bs[:, np.newaxis]

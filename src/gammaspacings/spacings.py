@@ -5,7 +5,8 @@
 pdf and a cdf:
 
 * ``exact``: ``y2_pdf_exact`` / ``y2_mixture``, the closed form for two
-  observations with integer shape ``m``, a mixture of ``Gamma(i+1, 1)``.
+  observations with integer shape ``1 <= m <= EXACT_MAX_M``, a mixture
+  of ``Gamma(i+1, 1)``.
 * ``numeric``: ``spacing_pdf_numeric`` / ``spacing_cdf_numeric``, one
   adaptive vector quadrature each for a whole array of ``y``, for any
   ``n``, any ``j`` and any real shape ``m > 0``.  The quadrature (a
@@ -32,7 +33,8 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .gamma import GammaParams, gamma_cdf, gamma_pdf, gamma_quantile, _as_float_array, _maybe_scalar
+from .gamma import (GammaParams, _as_float_array, _integer, _level, _maybe_scalar, gamma_cdf,
+                    gamma_pdf, gamma_quantile)
 
 __all__ = [
     "SpacingIndex",
@@ -57,6 +59,10 @@ SUBDIVISION_LIMIT = 128
 
 # Interpolation nodes of the numeric route's cdf in ``spacing_law``.
 CDF_NODES = 257
+
+# Largest shape of the exact route: above it the smallest weight of
+# ``y2_mixture`` underflows to 0 in float64.
+EXACT_MAX_M = 1076
 
 # QUADPACK's qk21 on [-1, 1]: the Kronrod nodes from 1 down to 0 (the rest
 # mirror them), their weights, and the Gauss weights of the odd nodes.
@@ -89,10 +95,7 @@ class SpacingIndex:
 
     def __post_init__(self):
         for name in ("n", "j"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 2 <= self.j <= self.n:
             raise ValueError(f"j must satisfy 2 <= j <= n, got j={self.j}, n={self.n}")
 
@@ -276,8 +279,7 @@ def y2_mixture(m) -> MixtureDecomposition:
 def _checked(y, tol):
     """``(y as a 1-D float array, y was a scalar)``; ValueError unless
     every entry is finite and ``0 < tol < 1``."""
-    if not 0 < float(tol) < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
+    _level("tol", tol)
     arr, scalar = _as_float_array(y)
     if arr.ndim != 1:
         raise ValueError(f"y must be a float or a 1-D array, got shape {arr.shape}")
@@ -529,25 +531,29 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
     """Law of ``Y_j = X_(j) - X_(j-1)`` for ``n`` iid ``Gamma(m, 1)`` draws.
 
     ``route="auto"`` is ``exact`` when ``n = j = 2`` and ``m`` is an
-    integer ``>= 1``, else ``numeric``, whose quadrature tolerance is
-    ``tol`` and whose cdf, built on first call, is a monotone cubic
-    (``_monotone_cubic``) through ``spacing_cdf_numeric`` at ``CDF_NODES``
-    nodes ``ymax t^3`` (``t`` uniform on [0, 1], ``ymax = 2 Q(1 - 1e-8)``),
-    constant outside
-    ``[0, ymax]``.  Raises ValueError for an unknown route, ``exact``
-    outside its domain, bad ``n``, ``j``, ``m``, or ``tol`` not in (0, 1).
+    integer from 1 to ``EXACT_MAX_M``, else ``numeric``, whose quadrature
+    tolerance is ``tol`` and whose cdf, built on first call, is a
+    monotone cubic (``_monotone_cubic``) through ``spacing_cdf_numeric``
+    at ``CDF_NODES`` nodes ``ymax t^3`` (``t`` uniform on [0, 1],
+    ``ymax = 2 Q(1 - 1e-8)``), constant outside ``[0, ymax]``.  Raises
+    ValueError for an unknown route, ``exact`` outside its domain, bad
+    ``n``, ``j``, ``m``, or ``tol`` not in (0, 1).
     """
     idx = SpacingIndex(n, j)
     params = GammaParams(m, 1.0)
     m = params.m
-    _checked(0.0, tol)  # reject a bad tol before any quadrature runs
+    _level("tol", tol)  # reject a bad tol before any quadrature runs
     exact_ok = idx.n == idx.j == 2 and m.is_integer()  # m > 0, so m >= 1
     if route == "auto":
-        route = "exact" if exact_ok else "numeric"
+        route = "exact" if exact_ok and m <= EXACT_MAX_M else "numeric"
     if route == "exact":
         if not exact_ok:
             raise ValueError("the exact route needs integer m >= 1 and n = j = 2; "
                              "use the numeric route for this configuration")
+        if m > EXACT_MAX_M:
+            raise ValueError(f"the exact route needs m <= {EXACT_MAX_M}, where its "
+                             "mixture weights are positive in float64; use the numeric "
+                             "route for this configuration")
         return SpacingLaw(route, m, lambda y: y2_pdf_exact(m, y), y2_mixture(m).cdf)
     if route == "claimed":
         claimed = GammaParams(m, 1 / (idx.n - idx.j + 1))
@@ -601,11 +607,7 @@ def density_curve(law: SpacingLaw, y_max, points) -> DensityCurve:
     y_max = float(y_max)
     if not math.isfinite(y_max) or y_max <= 0:
         raise ValueError(f"y_max must be finite and > 0, got {y_max!r}")
-    if isinstance(points, bool) or not isinstance(points, numbers.Integral):
-        raise TypeError(f"points must be an integer, got {points!r}")
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
-    grid = np.linspace(0.0, y_max, int(points))
+    grid = np.linspace(0.0, y_max, _integer("points", points, 2))
     if law.m < 1:
         grid[0] = grid[1] / 2.0
     values = law.pdf(grid)

@@ -10,9 +10,9 @@ that the Monte Carlo engine and the CLI share.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from .gamma import _integer
 
 __all__ = [
     "DegenerateSampleError",
@@ -39,11 +39,10 @@ def _sorted_values(data) -> np.ndarray:
 
 
 def _check_k(k, n, upper) -> int:
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise TypeError(f"k must be an integer, got {k!r}")
+    k = _integer("k", k)
     if not 1 <= k <= upper:
         raise ValueError(f"k must satisfy 1 <= k <= {upper} for n={n}, got {k}")
-    return int(k)
+    return k
 
 
 def _in_range(xs: np.ndarray) -> np.ndarray:

@@ -87,6 +87,15 @@ def test_density_exact_rejects_noninteger_shape(runner):
     assert result.exit_code == 2
 
 
+def test_density_above_the_exact_bound_takes_the_numeric_route(runner):
+    # at m = 1077 the exact mixture's smallest weight underflows to 0
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["density", "--m", "1077", "--points", "5"])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in Path(".").iterdir()) == [
+            "density.manifest.json", "density_claimed.csv", "density_numeric.csv"]
+
+
 def test_density_usage_validation(runner):
     assert runner.invoke(main, ["density", "--m", "0"]).exit_code == 2
     assert runner.invoke(main, ["density", "--m", "2", "--j", "3"]).exit_code == 2
@@ -700,7 +709,7 @@ def test_workers_below_one_exits_two(runner, command):
         result = runner.invoke(main, command + ["--reps", "10", "--seed", "1",
                                                 "--workers", "0"])
         assert result.exit_code == 2
-        assert "--workers" in result.output
+        assert "Error: workers must be >= 1, got 0" in result.output
         assert "Traceback" not in result.output
         assert sorted(p.name for p in Path(".").iterdir()) == ["data.txt"]
 
@@ -724,10 +733,13 @@ def test_workers_below_one_exits_two(runner, command):
     (["power", "--n", "5", "--m", "1", "--k", "1", "--alpha", "0", "--seed", "1"],
      "alpha must be in (0, 1), got 0.0"),
     (["simulate", "--n", "3", "--m", "1", "--j", "2", "--bins", "0", "--seed", "1"],
-     "Invalid value for '--bins': 0 is not in the range x>=1"),
+     "bins must be >= 1, got 0"),
+    (["validate", "--m", "2", "--alpha", "nan", "--seed", "1"],
+     "alpha must be in (0, 1), got nan"),
 ], ids=["density-j", "simulate-j", "validate-j", "critical-values-alpha-nan",
         "critical-values-alpha-1.5", "test-alpha-nan", "power-b-0.5", "power-b-nan",
-        "power-b-inf", "power-b-minus-inf", "power-alpha-0", "simulate-bins-0"])
+        "power-b-inf", "power-b-minus-inf", "power-alpha-0", "simulate-bins-0",
+        "validate-alpha-nan"])
 def test_rejected_input_exits_two_with_the_library_message(runner, command, message):
     # the library checks these inputs; the CLI's one error path maps the
     # ValueError to exit 2, and no file is written before it

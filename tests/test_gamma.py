@@ -8,10 +8,12 @@ from scipy.integrate import quad
 from gammaspacings import (
     GammaParams,
     RngStream,
+    SimulationConfig,
     gamma_cdf,
     gamma_pdf,
     gamma_quantile,
     ks_test,
+    spacing_law,
 )
 
 # high-precision reference values (40-digit mpmath, frozen)
@@ -28,8 +30,17 @@ def test_gamma_params_validation():
         GammaParams(math.nan, 1.0)
     with pytest.raises(TypeError):
         GammaParams("1", 1.0)
+    with pytest.raises(TypeError):
+        GammaParams(True, 1.0)
     p = GammaParams(2, 1)
     assert p.m == 2.0 and p.sigma == 1.0
+    # numpy real scalars are real numbers, stored as float
+    for m, sigma in [(np.int64(2), np.float32(2.5)), (np.float32(2.5), np.int64(3))]:
+        p = GammaParams(m, sigma)
+        assert (p.m, p.sigma) == (float(m), float(sigma)) and type(p.m) is float
+    cfg = SimulationConfig(n=3, m=np.int64(2), reps=10, seed=0)
+    assert cfg.m == 2.0 and type(cfg.m) is float
+    assert spacing_law(2, 2, np.int64(3)).route == "exact"
 
 
 def test_gamma_pdf_pinned_values():

@@ -79,6 +79,9 @@ def test_ks_pvalue_validation():
         ks_pvalue(0.1, 0)
     with pytest.raises(TypeError):
         ks_pvalue(0.1, 10.5)
+    with pytest.raises(TypeError):
+        ks_pvalue(0.1, True)
+    assert ks_pvalue(0.1, np.int64(10)) == ks_pvalue(0.1, 10)
 
 
 def test_ks_test_composes():
@@ -142,3 +145,7 @@ def test_histogram_validation():
         histogram([1.0], 0)
     with pytest.raises(ValueError):
         histogram([1.0, np.nan], 3)
+    with pytest.raises(TypeError):
+        histogram([1.0, 2.0], True)
+    h = histogram([1.0, 2.0, 4.0], np.int64(3))
+    assert np.array_equal(h.densities, histogram([1.0, 2.0, 4.0], 3).densities)

@@ -84,6 +84,10 @@ def test_simulate_spacing_deterministic_and_worker_invariant():
     threaded = simulate_spacing(cfg, 2, workers=4)
     assert np.array_equal(base.values, again.values)
     assert np.array_equal(base.values, threaded.values)
+    assert np.array_equal(base.values, simulate_spacing(cfg, 2, workers=np.int64(4)).values)
+    for workers, error in ((True, TypeError), (0, ValueError)):
+        with pytest.raises(error, match="workers must be"):
+            simulate_spacing(cfg, 2, workers=workers)
     other = simulate_spacing(SimulationConfig(n=3, m=1.5, reps=400, seed=43), 2)
     assert not np.array_equal(base.values, other.values)
 

@@ -266,6 +266,10 @@ def test_density_curve_validation():
         density_curve(law, 0.0, 10)
     with pytest.raises(ValueError):
         density_curve(law, 5.0, 1)
+    with pytest.raises(TypeError):
+        density_curve(law, 5.0, True)
+    assert np.array_equal(density_curve(law, 5.0, np.int64(10)).values,
+                          density_curve(law, 5.0, 10).values)
     grid = np.linspace(0.0, 5.0, 10)
     with pytest.raises(ValueError):
         DensityCurve(grid=grid, values=np.ones(3), normalization_error=0.0)
@@ -546,6 +550,14 @@ def test_spacing_law_resolves_routes():
     for tol in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError):
             spacing_law(3, 2, 2.5, tol=tol)
+    # the exact domain ends where y2_mixture's smallest weight underflows to 0
+    assert spacing_law(2, 2, spacings.EXACT_MAX_M).route == "exact"
+    with pytest.raises(ValueError, match="weights must be finite and > 0"):
+        y2_mixture(spacings.EXACT_MAX_M + 1)
+    for m in (spacings.EXACT_MAX_M + 1, 1e9, 1e300):
+        assert spacing_law(2, 2, m).route == "numeric"
+    with pytest.raises(ValueError, match=f"m <= {spacings.EXACT_MAX_M}"):
+        spacing_law(2, 2, spacings.EXACT_MAX_M + 1, "exact")
 
 
 def test_density_curve_of_law_starts_half_a_step_in_below_unit_shape():

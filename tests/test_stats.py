@@ -55,6 +55,9 @@ def test_z_k_degenerate_and_k_validation():
         z_k([1.0, 2.0, 3.0], 3)
     with pytest.raises(TypeError):
         z_k([1.0, 2.0, 3.0], 1.5)
+    with pytest.raises(TypeError):
+        z_k([1.0, 2.0, 3.0], True)
+    assert z_k([1.0, 2.0, 4.0], np.int64(1)) == z_k([1.0, 2.0, 4.0], 1)
 
 
 def test_z_k_scale_invariance():
