@@ -47,6 +47,15 @@ def _level(name, value) -> float:
     return value
 
 
+def _finite_1d(name, values, low=1) -> np.ndarray:
+    """``values`` as a 1-D float array of at least ``low`` entries, all
+    finite; ``ValueError`` otherwise."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size < low or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be a finite 1-D array of length >= {low}")
+    return arr
+
+
 @dataclass(frozen=True)
 class GammaParams:
     """Shape ``m`` and scale ``sigma`` of a Gamma distribution.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gamma import _integer
+from .gamma import _finite_1d, _integer
 
 __all__ = [
     "KsResult",
@@ -66,11 +66,7 @@ def ks_statistic(sample, cdf) -> float:
     ``cdf`` is called once with the whole sample array and must return
     one value in ``[0, 1]`` per sample point.
     """
-    arr = np.asarray(sample, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("sample must be a nonempty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample must be finite")
+    arr = _finite_1d("sample", sample)
     if np.any(np.diff(arr) < 0):
         raise ValueError("sample must be sorted ascending")
     f = np.asarray(cdf(arr), dtype=float)
@@ -129,11 +125,7 @@ def histogram(sample, bins) -> Histogram:
     Histogram
         Every value is binned, so ``densities`` integrate to 1.
     """
-    arr = np.asarray(sample, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("sample must be a nonempty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample must be finite")
+    arr = _finite_1d("sample", sample)
     counts, edges = np.histogram(arr, bins=_integer("bins", bins, 1))
     return Histogram(bin_edges=edges, densities=counts / (arr.size * np.diff(edges)),
                      count=arr.size)

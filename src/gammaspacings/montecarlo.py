@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gamma import GammaParams, RngStream, _integer, _level
+from .gamma import GammaParams, RngStream, _finite_1d, _integer, _level
 from .spacings import SpacingIndex
 from .stats import REDUCTIONS
 
@@ -126,15 +126,9 @@ class EmpiricalSample:
     statistic_name: str
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("values must be 1-D")
+        values = _finite_1d("values", self.values)
         if values.size != self.config.reps:
-            raise ValueError(
-                f"got {values.size} values for reps={self.config.reps}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
+            raise ValueError(f"got {values.size} values for reps={self.config.reps}")
         if np.any(np.diff(values) < 0):
             raise ValueError("values must be sorted ascending")
         object.__setattr__(self, "values", values)

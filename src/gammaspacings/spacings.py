@@ -5,8 +5,10 @@
 pdf and a cdf:
 
 * ``exact``: ``y2_pdf_exact`` / ``y2_mixture``, the closed form for two
-  observations with integer shape ``1 <= m <= EXACT_MAX_M``, a mixture
-  of ``Gamma(i+1, 1)``.
+  observations with integer shape ``1 <= m <= EXACT_MAX_M`` (1075), a
+  mixture of ``Gamma(i+1, 1)``.  One check, ``_exact_m``, holds that
+  domain for both functions and for ``spacing_law``, and raises before
+  any array is built.
 * ``numeric``: ``spacing_pdf_numeric`` / ``spacing_cdf_numeric``, one
   adaptive vector quadrature each for a whole array of ``y``, for any
   ``n``, any ``j`` and any real shape ``m > 0``.  The quadrature (a
@@ -18,7 +20,9 @@ pdf and a cdf:
   can be measured.
 
 ``density_curve`` tabulates a law as a ``DensityCurve``, which holds
-arrays only: the CLI's one writer renders it as CSV or JSON.
+arrays only: the CLI's one writer renders it as CSV or JSON.  Points
+``y`` go through ``gamma``'s one sample check (finite, 1-D; a float
+counts as one point).
 """
 
 from __future__ import annotations
@@ -26,15 +30,14 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import special
 
-from .gamma import (GammaParams, _as_float_array, _integer, _level, _maybe_scalar, gamma_cdf,
-                    gamma_pdf, gamma_quantile)
+from .gamma import (GammaParams, _as_float_array, _finite_1d, _integer, _level, _maybe_scalar,
+                    gamma_cdf, gamma_pdf, gamma_quantile)
 
 __all__ = [
     "SpacingIndex",
@@ -60,9 +63,10 @@ SUBDIVISION_LIMIT = 128
 # Interpolation nodes of the numeric route's cdf in ``spacing_law``.
 CDF_NODES = 257
 
-# Largest shape of the exact route: above it the smallest weight of
-# ``y2_mixture`` underflows to 0 in float64.
-EXACT_MAX_M = 1076
+# Largest shape of the exact route.  The smallest weight of ``y2_mixture``
+# is exactly 2^-(m-1): at 1075 it is 2^-1074, the smallest subnormal; at
+# 1076 it would round to it or to 0 depending on the last ulp of gammaln.
+EXACT_MAX_M = 1075
 
 # QUADPACK's qk21 on [-1, 1]: the Kronrod nodes from 1 down to 0 (the rest
 # mirror them), their weights, and the Gauss weights of the odd nodes.
@@ -181,19 +185,20 @@ class MixtureDecomposition:
         return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
 
 
-def _as_shape_int(m) -> int:
-    """Integer shape parameter; rejects non-integral and m < 1."""
-    if isinstance(m, bool):
-        raise TypeError(f"m must be an integer, got {m!r}")
-    if isinstance(m, numbers.Integral):
-        mi = int(m)
-    elif isinstance(m, float) and m.is_integer():
-        mi = int(m)
-    else:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if mi < 1:
-        raise ValueError(f"m must be >= 1, got {mi}")
-    return mi
+def _exact_m(m, n=2, j=2) -> int:
+    """``m`` as an ``int`` inside the exact route's domain: ``n = j = 2``
+    and an integer shape ``1 <= m <= EXACT_MAX_M``.  ``GammaParams``'
+    rule first (TypeError or ValueError), then ValueError, before any
+    array is built."""
+    m = GammaParams(m).m
+    if not (n == j == 2 and m.is_integer()):
+        raise ValueError("the exact route needs integer m >= 1 and n = j = 2; "
+                         "use the numeric route for this configuration")
+    if m > EXACT_MAX_M:
+        raise ValueError(f"the exact route needs m <= {EXACT_MAX_M}, where its "
+                         "mixture weights are positive in float64; use the numeric "
+                         "route for this configuration")
+    return int(m)
 
 
 def _log_binom(n, k):
@@ -226,8 +231,9 @@ def y2_pdf_exact(m, y):
     Parameters
     ----------
     m : int
-        Integer shape, at least 1.  Non-integer shapes have no closed
-        form here; use ``spacing_pdf_numeric``.
+        Integer shape from 1 to ``EXACT_MAX_M`` (ValueError outside).
+        Non-integer shapes have no closed form here; use
+        ``spacing_pdf_numeric``.
     y : float or array_like
 
     Returns
@@ -235,7 +241,7 @@ def y2_pdf_exact(m, y):
     float or ndarray
         Zero for ``y < 0``.
     """
-    mi = _as_shape_int(m)
+    mi = _exact_m(m)
     arr, scalar = _as_float_array(y)
     logc = _y2_log_coeffs(mi)
     out = np.zeros_like(arr)
@@ -267,10 +273,11 @@ def y2_mixture(m) -> MixtureDecomposition:
 
         w_i = C(m-1, i) G(2m-i-1) i! / (G(m)^2 * 2^(2(m-1)-i)),
 
-    ``i = 0..m-1``.  The weights are positive and sum to 1; the mixture
-    density coincides pointwise with ``y2_pdf_exact``.
+    ``i = 0..m-1`` and integer ``1 <= m <= EXACT_MAX_M``.  The weights
+    are positive and sum to 1; the mixture density coincides pointwise
+    with ``y2_pdf_exact``.
     """
-    mi = _as_shape_int(m)
+    mi = _exact_m(m)
     i = np.arange(mi, dtype=float)
     weights = np.exp(_y2_log_coeffs(mi) + special.gammaln(i + 1.0))
     return MixtureDecomposition(weights=weights, shapes=np.arange(1, mi + 1))
@@ -278,15 +285,10 @@ def y2_mixture(m) -> MixtureDecomposition:
 
 def _checked(y, tol):
     """``(y as a 1-D float array, y was a scalar)``; ValueError unless
-    every entry is finite and ``0 < tol < 1``."""
+    every entry is finite (an empty array passes) and ``0 < tol < 1``."""
     _level("tol", tol)
     arr, scalar = _as_float_array(y)
-    if arr.ndim != 1:
-        raise ValueError(f"y must be a float or a 1-D array, got shape {arr.shape}")
-    bad = arr[~np.isfinite(arr)]
-    if bad.size:
-        raise ValueError(f"y must be finite, got {bad[0]!r}")
-    return arr, scalar
+    return _finite_1d("y", arr, 0), scalar
 
 
 def _gk21(fn, a, b):
@@ -543,18 +545,15 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
     params = GammaParams(m, 1.0)
     m = params.m
     _level("tol", tol)  # reject a bad tol before any quadrature runs
-    exact_ok = idx.n == idx.j == 2 and m.is_integer()  # m > 0, so m >= 1
-    if route == "auto":
-        route = "exact" if exact_ok and m <= EXACT_MAX_M else "numeric"
-    if route == "exact":
-        if not exact_ok:
-            raise ValueError("the exact route needs integer m >= 1 and n = j = 2; "
-                             "use the numeric route for this configuration")
-        if m > EXACT_MAX_M:
-            raise ValueError(f"the exact route needs m <= {EXACT_MAX_M}, where its "
-                             "mixture weights are positive in float64; use the numeric "
-                             "route for this configuration")
-        return SpacingLaw(route, m, lambda y: y2_pdf_exact(m, y), y2_mixture(m).cdf)
+    if route in ("auto", "exact"):
+        try:
+            _exact_m(m, idx.n, idx.j)
+        except ValueError:
+            if route == "exact":
+                raise
+            route = "numeric"
+        else:
+            return SpacingLaw("exact", m, lambda y: y2_pdf_exact(m, y), y2_mixture(m).cdf)
     if route == "claimed":
         claimed = GammaParams(m, 1 / (idx.n - idx.j + 1))
         return SpacingLaw(route, m, lambda y: gamma_pdf(y, claimed),

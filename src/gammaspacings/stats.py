@@ -4,15 +4,16 @@
 ``sum_j (n-j+1) Y_j`` carried by the top ``k`` spacings.  ``dixon_dk``
 is the classical gap ratio ``(X_(n) - X_(n-k)) / (X_(n) - X_(1))``.
 Each takes a 1-D array of at least two finite observations, in any
-order, and an integer ``k``; ``REDUCTIONS`` holds the row-wise forms
-that the Monte Carlo engine and the CLI share.
+order (checked by ``gamma``'s one sample rule, which ``gof`` and
+``montecarlo`` share), and an integer ``k``; ``REDUCTIONS`` holds the
+row-wise forms that the Monte Carlo engine and the CLI share.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gamma import _integer
+from .gamma import _finite_1d, _integer
 
 __all__ = [
     "DegenerateSampleError",
@@ -27,15 +28,9 @@ class DegenerateSampleError(ValueError):
 
 
 def _sorted_values(data) -> np.ndarray:
-    """``data`` sorted, after checking it is 1-D, finite and of length >= 2."""
-    values = np.asarray(data, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"values must be 1-D, got ndim={values.ndim}")
-    if values.size < 2:
-        raise ValueError(f"need at least 2 observations, got {values.size}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must all be finite")
-    return np.sort(values)
+    """``data`` sorted, after ``gamma``'s sample check (1-D, finite,
+    length >= 2)."""
+    return np.sort(_finite_1d("data", data, 2))
 
 
 def _check_k(k, n, upper) -> int:

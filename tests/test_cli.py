@@ -88,12 +88,16 @@ def test_density_exact_rejects_noninteger_shape(runner):
 
 
 def test_density_above_the_exact_bound_takes_the_numeric_route(runner):
-    # at m = 1077 the exact mixture's smallest weight underflows to 0
-    with runner.isolated_filesystem():
-        result = runner.invoke(main, ["density", "--m", "1077", "--points", "5"])
-        assert result.exit_code == 0, result.output
-        assert sorted(p.name for p in Path(".").iterdir()) == [
-            "density.manifest.json", "density_claimed.csv", "density_numeric.csv"]
+    # above EXACT_MAX_M = 1075 the exact mixture's smallest weight can underflow to 0
+    for m in ("1076", "1077"):
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, ["density", "--m", m, "--points", "5"])
+            assert result.exit_code == 0, result.output
+            assert sorted(p.name for p in Path(".").iterdir()) == [
+                "density.manifest.json", "density_claimed.csv", "density_numeric.csv"]
+            result = runner.invoke(main, ["density", "--m", m, "--which", "exact"])
+            assert result.exit_code == 2
+            assert "the exact route needs m <= 1075" in result.output
 
 
 def test_density_usage_validation(runner):

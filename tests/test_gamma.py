@@ -6,14 +6,20 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from gammaspacings import (
+    EmpiricalSample,
     GammaParams,
     RngStream,
     SimulationConfig,
+    SpacingIndex,
+    dixon_dk,
     gamma_cdf,
     gamma_pdf,
     gamma_quantile,
+    histogram,
     ks_test,
     spacing_law,
+    spacing_pdf_numeric,
+    z_k,
 )
 
 # high-precision reference values (40-digit mpmath, frozen)
@@ -143,3 +149,30 @@ def test_gamma_sample_ks_self_consistency():
     draws = np.sort(RngStream(99, 0).generator().gamma(p.m, p.sigma, 10**4))
     result = ks_test(draws, lambda x: gamma_cdf(x, p))
     assert result.p_value > 0.01
+
+
+# every sample-taking entry point: (call, argument name, least length)
+SAMPLE_ENTRY_POINTS = {
+    "z_k": (lambda v: z_k(v, 1), "data", 2),
+    "dixon_dk": (lambda v: dixon_dk(v, 1), "data", 2),
+    "ks_test": (lambda v: ks_test(v, lambda x: np.clip(x, 0.0, 1.0)), "sample", 1),
+    "histogram": (lambda v: histogram(v, 3), "sample", 1),
+    "EmpiricalSample": (lambda v: EmpiricalSample(
+        values=v, config=SimulationConfig(n=2, m=1.0, reps=3, seed=1), statistic_name="y2"),
+        "values", 1),
+    "spacing_pdf_numeric": (lambda v: spacing_pdf_numeric(SpacingIndex(3, 2), GammaParams(2.0), v),
+                            "y", 0),
+}
+
+
+@pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
+def test_every_sample_check_is_the_one_finite_1d_rule(entry):
+    call, name, low = SAMPLE_ENTRY_POINTS[entry]
+    message = f"{name} must be a finite 1-D array of length >= {low}"
+    bad = [np.append(np.arange(1.0, low + 1), np.nan), np.ones((2, 2))]
+    if low > 0:
+        bad.append(np.arange(1.0, low))  # one entry too short
+    for values in bad:
+        with pytest.raises(ValueError) as info:
+            call(values)
+        assert str(info.value) == message

@@ -139,11 +139,12 @@ def test_histogram_matches_exponential_density():
 
 
 def test_histogram_validation():
-    with pytest.raises(ValueError):
+    rule = r"sample must be a finite 1-D array of length >= 1"
+    with pytest.raises(ValueError, match=rule):
         histogram([], 3)
     with pytest.raises(ValueError):
         histogram([1.0], 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rule):
         histogram([1.0, np.nan], 3)
     with pytest.raises(TypeError):
         histogram([1.0, 2.0], True)

@@ -59,7 +59,7 @@ def test_empirical_sample_validation():
     with pytest.raises(ValueError, match="sorted"):
         EmpiricalSample(values=np.array([2.0, 1.0, 3.0]), config=cfg,
                         statistic_name="y2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"values must be a finite 1-D array of length >= 1"):
         EmpiricalSample(values=np.array([1.0, 2.0, np.inf]), config=cfg,
                         statistic_name="y2")
 

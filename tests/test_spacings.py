@@ -171,7 +171,7 @@ def test_spacing_pdf_numeric_negative_y_and_validation():
     assert spacing_pdf_numeric(idx, GammaParams(2.0), -0.1) == 0.0
     with pytest.raises(ValueError):
         spacing_pdf_numeric(idx, GammaParams(2.0), 1.0, tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"y must be a finite 1-D array of length >= 0"):
         spacing_pdf_numeric(idx, GammaParams(2.0), math.inf)
 
 
@@ -550,14 +550,21 @@ def test_spacing_law_resolves_routes():
     for tol in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError):
             spacing_law(3, 2, 2.5, tol=tol)
-    # the exact domain ends where y2_mixture's smallest weight underflows to 0
-    assert spacing_law(2, 2, spacings.EXACT_MAX_M).route == "exact"
-    with pytest.raises(ValueError, match="weights must be finite and > 0"):
-        y2_mixture(spacings.EXACT_MAX_M + 1)
-    for m in (spacings.EXACT_MAX_M + 1, 1e9, 1e300):
+    # the exact domain ends where y2_mixture's smallest weight, exactly
+    # 2^-(m-1), is still the smallest subnormal rather than a value that
+    # rounds to it
+    top = spacings.EXACT_MAX_M
+    assert spacing_law(2, 2, top).route == "exact"
+    assert y2_mixture(top).weights.min() == 2.0 ** -(top - 1)
+    # above it both exact functions refuse before building arrays:
+    # np.arange(10**9) alone would take 8 GB
+    for m in (top + 1, 10**9, 1e300):
         assert spacing_law(2, 2, m).route == "numeric"
-    with pytest.raises(ValueError, match=f"m <= {spacings.EXACT_MAX_M}"):
-        spacing_law(2, 2, spacings.EXACT_MAX_M + 1, "exact")
+        for exact in (y2_mixture, lambda m: y2_pdf_exact(m, 1.0)):
+            with pytest.raises(ValueError, match=f"the exact route needs m <= {top}"):
+                exact(m)
+    with pytest.raises(ValueError, match=f"m <= {top}"):
+        spacing_law(2, 2, top + 1, "exact")
 
 
 def test_density_curve_of_law_starts_half_a_step_in_below_unit_shape():

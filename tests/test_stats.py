@@ -14,11 +14,12 @@ from gammaspacings.stats import REDUCTIONS
 
 
 def test_sample_data_validation():
-    with pytest.raises(ValueError):
+    rule = r"data must be a finite 1-D array of length >= 2"
+    with pytest.raises(ValueError, match=rule):
         z_k(np.array([1.0]), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rule):
         z_k(np.array([1.0, np.inf]), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rule):
         z_k(np.ones((2, 2)), 1)
     assert z_k(np.array([3.0, 1.0]), 1) == 1.0
 
