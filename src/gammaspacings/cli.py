@@ -158,7 +158,7 @@ class _Group(click.Group):
             raise CliError(str(exc))
 
 
-@click.group(cls=_Group)
+@click.group(cls=_Group, context_settings={"show_default": True})
 @click.version_option(version=__version__, prog_name="gammaspacings")
 def main():
     """Spacing laws of Gamma order statistics and discordancy tests."""
@@ -166,23 +166,20 @@ def main():
 
 @main.command()
 @click.option("--m", type=float, required=True, help="Gamma shape parameter.")
-@click.option("--n", type=int, default=2, show_default=True, help="Sample size.")
-@click.option("--j", type=int, default=2, show_default=True,
-              help="Spacing index: Y_j = X_(j) - X_(j-1).")
+@click.option("--n", type=int, default=2, help="Sample size.")
+@click.option("--j", type=int, default=2, help="Spacing index: Y_j = X_(j) - X_(j-1).")
 @click.option("--which", type=click.Choice(["exact", "claimed", "numeric", "all"]),
-              default="all", show_default=True,
+              default="all",
               help="Curve(s) to tabulate. 'all' = the true density (exact "
                    f"when n=j=2 and m is an integer from 1 to {EXACT_MAX_M}, "
                    "else numeric) plus the claimed Gamma(m, 1/(n-j+1)) law.")
 @click.option("--ymax", type=float, default=None,
               help="Grid endpoint [default: 0.9999 quantile of Gamma(m, 1)].")
-@click.option("--points", type=int, default=201, show_default=True,
-              help="Grid size.")
-@click.option("--tol", type=float, default=1e-9, show_default=True,
+@click.option("--points", type=int, default=201, help="Grid size.")
+@click.option("--tol", type=float, default=1e-9,
               help="Quadrature tolerance for the numeric route.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--output", type=click.Path(), default="density", show_default=True,
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option("--output", type=click.Path(), default="density",
               help="Output stem; one file per curve plus a manifest.")
 def density(m, n, j, which, ymax, points, tol, fmt, output):
     """Tabulate spacing density curves on a uniform grid."""
@@ -196,33 +193,32 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
     files = []
     for law, curve in zip(laws, curves):
         meta = {**params, "curve": law.route}
+        columns = {"y": curve.grid, "f": curve.values}
+        error = {"normalization_error": curve.normalization_error}
         files.append(_File(f"{output}_{law.route}.{fmt}", fmt,
-                           doc={"meta": meta, "y": curve.grid, "f": curve.values,
-                                "normalization_error": curve.normalization_error},
-                           comments=meta, columns={"y": curve.grid, "f": curve.values}))
+                           doc={"meta": meta, **columns, **error},
+                           comments={**meta, **error}, columns=columns))
     _write(*files, _manifest(output, "density", params))
 
 
 @main.command()
 @click.option("--n", type=int, required=True, help="Sample size per replication.")
 @click.option("--m", type=float, required=True, help="Gamma shape parameter.")
-@click.option("--sigma", type=float, default=1.0, show_default=True,
+@click.option("--sigma", type=float, default=1.0,
               help="Gamma scale (spacing runs; statistics are scale-free).")
 @click.option("--j", type=int, default=None,
               help="Simulate the spacing Y_j (mutually exclusive with --stat).")
 @click.option("--stat", type=click.Choice(list(REDUCTIONS)), default=None,
               help="Simulate a discordancy statistic (requires --k).")
 @click.option("--k", type=int, default=None, help="Number of suspected outliers.")
-@click.option("--reps", type=int, default=10000, show_default=True,
-              help="Monte Carlo replications.")
+@click.option("--reps", type=int, default=10000, help="Monte Carlo replications.")
 @click.option("--seed", type=int, required=True, help="RNG seed (required).")
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=int, default=1,
               help="Worker threads; results are identical for any count.")
 @click.option("--bins", type=int, default=None,
               help="Also write an area-normalized histogram with this many bins.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--output", type=click.Path(), default="simulate", show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option("--output", type=click.Path(), default="simulate")
 def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
     """Simulate an empirical null sample of a spacing or a statistic."""
     if (j is None) == (stat is None):
@@ -257,17 +253,16 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
 
 
 @main.command()
-@click.option("--m", "m_list", type=str, default="1,3,8", show_default=True,
+@click.option("--m", "m_list", type=str, default="1,3,8",
               help="Comma-separated shape parameters to check.")
-@click.option("--n", type=int, default=2, show_default=True)
-@click.option("--j", type=int, default=2, show_default=True)
-@click.option("--reps", type=int, default=10000, show_default=True)
+@click.option("--n", type=int, default=2)
+@click.option("--j", type=int, default=2)
+@click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, required=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True,
-              help="KS rejection level.")
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--alpha", type=float, default=0.05, help="KS rejection level.")
+@click.option("--workers", type=int, default=1,
               help="Worker threads; results are identical for any count.")
-@click.option("--output", type=click.Path(), default="validate", show_default=True)
+@click.option("--output", type=click.Path(), default="validate")
 def validate(m_list, n, j, reps, seed, alpha, workers, output):
     """KS-test simulated spacings against the true and the claimed law.
 
@@ -315,18 +310,15 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=float, required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--stat", type=click.Choice(list(REDUCTIONS)), default="zk",
-              show_default=True)
+@click.option("--stat", type=click.Choice(list(REDUCTIONS)), default="zk")
 @click.option("--alpha", "alpha_list", type=str, default="0.01,0.05,0.1",
-              show_default=True, help="Comma-separated levels.")
-@click.option("--reps", type=int, default=10000, show_default=True)
+              help="Comma-separated levels.")
+@click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=int, default=1,
               help="Worker threads; results are identical for any count.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--output", type=click.Path(), default="critical_values",
-              show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option("--output", type=click.Path(), default="critical_values")
 def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output):
     """Tabulate empirical critical values of a statistic's null."""
     alphas = _parse_float_list(alpha_list, "--alpha")
@@ -350,12 +342,11 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
 @click.argument("datafile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", type=int, required=True, help="Number of suspected outliers.")
 @click.option("--m", type=float, required=True, help="Null Gamma shape.")
-@click.option("--stat", type=click.Choice(list(REDUCTIONS)), default="zk",
-              show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--reps", type=int, default=10000, show_default=True)
+@click.option("--stat", type=click.Choice(list(REDUCTIONS)), default="zk")
+@click.option("--alpha", type=float, default=0.05)
+@click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=int, default=1,
               help="Worker threads; results are identical for any count.")
 @click.option("--output", type=click.Path(), default=None,
               help="Also write the JSON report (plus manifest) to this stem.")
@@ -419,19 +410,17 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
 @click.option("--m", type=float, required=True)
 @click.option("--k", type=int, required=True,
               help="Contaminated count; must match the statistic's k.")
-@click.option("--b", "b_list", type=str, default="1,1.5,2,3", show_default=True,
+@click.option("--b", "b_list", type=str, default="1,1.5,2,3",
               help="Comma-separated slippage factors, each >= 1.")
-@click.option("--stat", type=click.Choice(list(REDUCTIONS)), default="zk",
-              show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--reps", type=int, default=10000, show_default=True)
+@click.option("--stat", type=click.Choice(list(REDUCTIONS)), default="zk")
+@click.option("--alpha", type=float, default=0.05)
+@click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, required=True,
               help="RNG seed: null from seed, every sweep row from seed+1.")
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=int, default=1,
               help="Worker threads; results are identical for any count.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--output", type=click.Path(), default="power", show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option("--output", type=click.Path(), default="power")
 def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
     """Estimate rejection rates under scale slippage of the top k values."""
     bs = _parse_float_list(b_list, "--b")

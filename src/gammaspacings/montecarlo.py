@@ -11,7 +11,10 @@ which scale the top ``config.k`` draws; it draws each block once and
 evaluates every factor on those draws (common random numbers), so each
 factor's rate is the one a run with that factor alone gives.
 ``STREAM_LAYOUT`` names this layout; it changes whenever the mapping
-from seed to simulated values does.
+from seed to a block's draws does.  Statistic runs redraw a block's
+degenerate rows (all n draws equal, where z_k and d_k are undefined)
+once, at unit scale and before any factor applies; spacing runs keep
+every row, since a spacing of 0 is a valid value.
 
 Conventions: empirical critical values invert the ECDF at ``1 - alpha``
 (1-based index ``ceil((1-alpha) * R)``); p-values use add-one counting
@@ -57,10 +60,11 @@ __all__ = [
 
 BLOCK = 4096
 STREAM_LAYOUT = f"philox-block-{BLOCK}/v2"
-# A row stays degenerate after r rounds with probability p**r, so only a
-# shape at which nearly every row's draws come out equal reaches this
-# cap: tiny m, where they underflow to 0, or huge m, where their spread
-# is below one ulp.
+# Rounds of unit-scale redraws per block in statistic runs.  A row stays
+# degenerate after r rounds with probability p**r, so only a shape at
+# which nearly every row's draws come out equal reaches this cap: tiny
+# m, where they underflow to 0, or huge m, where their spread is below
+# one ulp.
 MAX_REDRAW_ROUNDS = 100
 
 
@@ -134,56 +138,57 @@ class EmpiricalSample:
         object.__setattr__(self, "values", values)
 
 
-def _simulate(config: SimulationConfig, reduce, scales, workers) -> np.ndarray:
+def _equal_rows(draws: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``draws`` whose values are all equal."""
+    rows = np.flatnonzero(draws[:, 0] == draws[:, 1])  # few pass: check only them
+    return rows[(draws[rows] == draws[rows, :1]).all(axis=1)]
+
+
+def _simulate(config: SimulationConfig, reduce, scales, workers,
+              redraw=True) -> np.ndarray:
     """``reduce``'s value per scale and replication: shape ``(len(scales), reps)``.
 
     Block ``b`` draws a unit-scale ``(rows, n)`` array from
-    ``RngStream(seed, b)`` once.  For each row ``scale`` of ``scales`` it
-    multiplies column ``i`` by ``scale[i]`` into one reused buffer, sorts
-    that buffer's rows in place, redraws degenerate rows (all values
-    equal) from the block's generator in row order, and maps the buffer
-    to ``reduce(xs)``.  Every scale starts its redraws from the generator
-    state left by the shared draw, so each scale's values are bit for bit
-    those of a run with that scale alone.  A scaled draw that overflows
-    raises ``NonFiniteDrawError``.  A block depends only on ``(seed, b)``,
-    so neither the worker count nor the schedule can change the result.
+    ``RngStream(seed, b)`` once.  With ``redraw``, its degenerate rows
+    (all n values equal) are then redrawn from the block's generator, in
+    row order, before any scale is applied.  For each row ``scale`` of
+    ``scales`` it multiplies column ``i`` by ``scale[i]`` into one reused
+    buffer, sorts that buffer's rows in place and maps the buffer to
+    ``reduce(xs)``.  Every scale thus sees the same rows, so each scale's
+    values are bit for bit those of a run with that scale alone.  A
+    scaled draw that overflows raises ``NonFiniteDrawError``.  A block
+    depends only on ``(seed, b)``, so neither the worker count nor the
+    schedule can change the result.
     """
     n, reps = config.n, config.reps
     scales = np.atleast_2d(np.asarray(scales, dtype=float))
-
-    def place(xs, unit, scale):
-        with np.errstate(over="ignore"):
-            np.multiply(unit, scale, out=xs)
-        xs.sort(axis=1)
-        if not np.isfinite(xs[:, -1]).all():  # a row's inf or nan sorts last
-            raise NonFiniteDrawError(
-                f"Gamma(m={config.m}) draws times the scale (largest "
-                f"{scale.max():g}) overflow to inf; use a smaller scale")
 
     def block(b):
         gen = RngStream(config.seed, b).generator()
         rows = min(BLOCK, reps - b * BLOCK)
         unit = gen.gamma(config.m, size=(rows, n))
-        xs, state, out = np.empty_like(unit), None, None
-        for i, scale in enumerate(scales):
-            place(xs, unit, scale)
-            bad = np.flatnonzero(xs[:, 0] == xs[:, -1])
-            if bad.size:
-                if state is None:
-                    state = gen.bit_generator.state
-                gen.bit_generator.state = state
+        if redraw:
+            bad = _equal_rows(unit)
             for _ in range(MAX_REDRAW_ROUNDS):
                 if bad.size == 0:
                     break
-                redrawn = np.empty((bad.size, n))
-                place(redrawn, gen.gamma(config.m, size=(bad.size, n)), scale)
-                xs[bad] = redrawn
-                bad = bad[redrawn[:, 0] == redrawn[:, -1]]
+                redrawn = gen.gamma(config.m, size=(bad.size, n))
+                unit[bad] = redrawn
+                bad = bad[_equal_rows(redrawn)]
             if bad.size:
                 raise DegenerateDrawError(
                     f"{bad.size} of {rows} rows in block {b} stayed degenerate "
                     f"after {MAX_REDRAW_ROUNDS} redraws: all {n} Gamma(m={config.m}) "
                     "draws of each came out equal")
+        xs, out = np.empty_like(unit), None
+        for i, scale in enumerate(scales):
+            with np.errstate(over="ignore"):
+                np.multiply(unit, scale, out=xs)
+            xs.sort(axis=1)
+            if not np.isfinite(xs[:, -1]).all():  # a row's inf or nan sorts last
+                raise NonFiniteDrawError(
+                    f"Gamma(m={config.m}) draws times the scale (largest "
+                    f"{scale.max():g}) overflow to inf; use a smaller scale")
             values = reduce(xs)  # may be a view of xs: copy it out now
             if out is None:
                 out = np.empty((len(scales), rows), dtype=values.dtype)
@@ -198,7 +203,8 @@ def simulate_spacing(config: SimulationConfig, j, workers=1) -> EmpiricalSample:
     """Empirical null of the spacing ``Y_j`` under ``Gamma(m, sigma)``.
 
     Each replication sorts ``n`` draws and records ``X_(j) - X_(j-1)``.
-    Returns the sorted sample.
+    Every row is kept, a spacing of 0 between equal draws included (at
+    tiny m, draws that underflow to 0).  Returns the sorted sample.
     """
     j = SpacingIndex(config.n, j).j
     values = _simulate(
@@ -206,6 +212,7 @@ def simulate_spacing(config: SimulationConfig, j, workers=1) -> EmpiricalSample:
         lambda xs: xs[:, j - 1] - xs[:, j - 2],
         np.full(config.n, config.sigma),
         workers,
+        redraw=False,
     )[0]
     return EmpiricalSample(values=np.sort(values), config=config,
                            statistic_name=f"y{j}")
@@ -216,11 +223,12 @@ def simulate_statistic(config: SimulationConfig, which, workers=1) -> EmpiricalS
 
     Draws are taken at unit scale (the statistics are scale invariant),
     so samples for different ``sigma`` are bitwise identical.  Requires
-    ``config.k``.  Degenerate draws (all values equal) are redrawn from
-    the block's stream; ``DegenerateDrawError`` is raised when they
-    persist, which happens only at shapes where nearly all n variates
-    come out equal (underflow to 0 at tiny m, spread below one ulp at
-    huge m).
+    ``config.k``.  Degenerate rows (all n draws equal, where the
+    statistic is undefined) are redrawn from the block's stream, once
+    per block and in row order; ``DegenerateDrawError`` is raised when
+    they persist, which happens only at shapes where nearly all n
+    variates come out equal (underflow to 0 at tiny m, spread below one
+    ulp at huge m).
     """
     if which not in REDUCTIONS:
         raise ValueError(f"which must be one of {sorted(REDUCTIONS)}, got {which!r}")

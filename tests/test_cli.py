@@ -228,6 +228,18 @@ def test_simulate_underflowing_shape_exits_two(runner):
         assert list(Path(".").iterdir()) == []
 
 
+def test_simulate_spacing_at_an_underflowing_shape_keeps_zero_spacings(runner):
+    # most Gamma(1e-5) pairs underflow to two zeros: a spacing of 0, kept
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["simulate", "--n", "2", "--m", "1e-5", "--j", "2",
+                                      "--reps", "1000", "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        lines = Path("simulate.csv").read_text().splitlines()
+        values = np.array([float(x) for x in lines[lines.index("value") + 1:]])
+        assert values.shape == (1000,)
+        assert np.all(np.isfinite(values) & (values >= 0.0))
+
+
 def test_simulate_huge_shape_names_equal_draws(runner):
     # at huge m the n draws of a row agree to the last ulp; they do not
     # underflow
@@ -772,7 +784,8 @@ def _density_expected(fmt):
         curve = density_curve(law, 4.0, 5)
         meta = {**params, "curve": law.route}
         files[f"density_{law.route}.{fmt}"] = (
-            meta, {"y": curve.grid, "f": curve.values},
+            {**meta, "normalization_error": curve.normalization_error},
+            {"y": curve.grid, "f": curve.values},
             {"meta": meta, "y": curve.grid, "f": curve.values,
              "normalization_error": curve.normalization_error})
     return params, files

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from gammaspacings import (
     DegenerateDrawError,
     EmpiricalSample,
+    RngStream,
     SimulationConfig,
     critical_value,
     ks_test,
@@ -204,6 +205,17 @@ def test_degenerate_draws_are_bounded():
     assert time.perf_counter() - start < 1.0
 
 
+def test_spacing_runs_keep_their_degenerate_rows():
+    # at m = 0.001 about a quarter of the pairs draw two zeros; their
+    # spacing of 0 is a value of the law, so no row is redrawn
+    cfg = SimulationConfig(n=2, m=0.001, reps=BLOCK + 5, seed=4)
+    raw = np.concatenate([
+        np.diff(np.sort(RngStream(cfg.seed, b).generator().gamma(cfg.m, size=(rows, 2))))
+        for b, rows in enumerate((BLOCK, 5))]).ravel()
+    assert np.count_nonzero(raw == 0.0) > BLOCK // 10
+    assert np.array_equal(simulate_spacing(cfg, 2).values, np.sort(raw))
+
+
 def test_critical_value_index_convention():
     sample = toy_sample(np.arange(1, 11) / 10.0)
     assert critical_value(sample, 0.1) == 0.9
@@ -319,11 +331,11 @@ def test_power_sweep_row_equals_its_one_alternative_run(bs, seed, reps, m, which
 
 @pytest.mark.parametrize("m", [0.002, 1e31])
 def test_each_scale_replays_the_blocks_redraws(m):
-    # m = 0.002: about 1 % of rows draw three zeros, degenerate at every
-    # scale; m = 1e31: about a fifth of rows draw three equal values, which
-    # only the unit scale leaves equal.  Each scale must see the redraws a
-    # run with that scale alone sees.  The reduction returns a view of the
-    # reused buffer.
+    # m = 0.002: about 1 % of rows draw three zeros; m = 1e31: about a
+    # fifth of rows draw three equal values, which a factor above 1 would
+    # pull apart.  A block redraws its degenerate rows once, at unit scale,
+    # so every scale sees the rows a run with that scale alone sees.  The
+    # reduction returns a view of the reused buffer.
     cfg = SimulationConfig(n=3, m=m, reps=BLOCK + 5, seed=3)
     scales = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1e3]])
     stacked = _simulate(cfg, lambda xs: xs[:, -1], scales, 2)
