@@ -4,9 +4,10 @@ Shape/scale convention throughout: ``Gamma(m, sigma)`` has density
 ``x**(m-1) * exp(-x/sigma) / (Gamma(m) * sigma**m)`` on ``x > 0``,
 mean ``m*sigma`` and variance ``m*sigma**2``.
 
-Random streams are counter-based (Philox) and keyed by the pair
-``(seed, stream_index)``: the same pair always yields the same stream,
-independent of how many other streams were created before it.
+Random streams are SFC64 generators keyed by the pair
+``(seed, stream_index)`` through numpy's child-stream seeding: the same
+pair always yields the same stream, independent of how many other
+streams were created before it.
 """
 
 from __future__ import annotations
@@ -79,7 +80,15 @@ class GammaParams:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Addressable random stream: ``(seed, stream_index)`` -> Philox key.
+    """Addressable random stream: ``(seed, stream_index)`` -> SFC64 state.
+
+    The state comes from ``SeedSequence(seed, spawn_key=(stream_index,))``,
+    the child ``SeedSequence(seed).spawn(stream_index + 1)[stream_index]``.
+    The index goes into the spawn key, not into the entropy list:
+    ``SeedSequence([seed, stream_index])`` gives ``(2**32, 0)`` and
+    ``(0, 1)`` the same state.  SFC64 carries a 64-bit counter, so two
+    distinct seeded states cannot run into each other within 2**64
+    outputs.
 
     Two streams with the same pair produce bitwise-identical output no
     matter when or where they are instantiated.  The Monte Carlo engine
@@ -100,8 +109,8 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_index,))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 def _as_float_array(x):

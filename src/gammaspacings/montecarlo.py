@@ -2,7 +2,7 @@
 
 Replications are drawn in blocks of ``BLOCK``: block ``b`` holds
 replications ``[b * BLOCK, (b + 1) * BLOCK)`` and draws them, row by
-row, from the counter-based substream ``(seed, b)``.  A run is
+row, from the SFC64 stream ``RngStream(seed, b)``.  A run is
 therefore reproducible bit for bit regardless of execution order or
 the number of workers, and any block can be regenerated in isolation.
 A power sweep simulates its own null from ``seed`` and its sweep from
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 BLOCK = 4096
-STREAM_LAYOUT = f"philox-block-{BLOCK}/v2"
+STREAM_LAYOUT = f"sfc64-block-{BLOCK}/v3"
 # Rounds of unit-scale redraws per block in statistic runs.  A row stays
 # degenerate after r rounds with probability p**r, so only a shape at
 # which nearly every row's draws come out equal reaches this cap: tiny
@@ -279,8 +279,9 @@ def _rejection_threshold(sample: EmpiricalSample, alpha) -> float:
     ``alpha``, is found by bisection on that same expression; the count
     of ``v`` is below it iff ``v`` exceeds the ``allowed``-th largest
     value.  So a power sweep decides with one comparison per
-    replication: a ``searchsorted`` of its 25,000 unsorted replications
-    takes about 5 ms, against 13 ms for the whole sweep (2-vCPU x86-64).
+    replication: a ``searchsorted`` of one factor's 25,000 unsorted
+    replications takes about 5 ms, against about 22 ms for a whole
+    three-factor sweep (n = 10, 2 workers, 2-vCPU Xeon).
     """
     reps = sample.values.size
     allowed = bisect.bisect_right(range(reps + 1), alpha,

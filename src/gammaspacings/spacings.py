@@ -537,7 +537,13 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
     tolerance is ``tol`` and whose cdf, built on first call, is a
     monotone cubic (``_monotone_cubic``) through ``spacing_cdf_numeric``
     at ``CDF_NODES`` nodes ``ymax t^3`` (``t`` uniform on [0, 1],
-    ``ymax = 2 Q(1 - 1e-8)``), constant outside ``[0, ymax]``.  Raises
+    ``ymax = 2 Q(1 - 1e-8)``), constant outside ``[0, ymax]``.  Where the
+    first interval ``[0, nodes[1]]`` holds more mass than the second (a
+    cdf rising at 0 faster than ``y^(1/3)``: at n = j = 2, m below about
+    1/6), points inside it take one direct ``spacing_cdf_numeric`` call
+    instead, since the cubic misses that mass (at n = j = 2, m = 0.01
+    the law puts 0.70 below 1e-8, the cubic 0.0065).  Returned values
+    are monotone in ``y``.  Raises
     ValueError for an unknown route, ``exact`` outside its domain, bad
     ``n``, ``j``, ``m``, or ``tol`` not in (0, 1).
     """
@@ -565,13 +571,19 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
     def interpolant():
         ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
         nodes = ymax * np.linspace(0.0, 1.0, CDF_NODES) ** 3
-        values = spacing_cdf_numeric(idx, params, nodes, tol)
-        return ymax, _monotone_cubic(nodes, np.maximum.accumulate(values))
+        values = np.maximum.accumulate(spacing_cdf_numeric(idx, params, nodes, tol))
+        # more mass on [0, nodes[1]] than on the next, 7 times wider
+        # interval: the cdf rises too steeply at 0 for the cubic to follow
+        steep = values[1] > values[2] - values[1]
+        return ymax, nodes[1] if steep else 0.0, _monotone_cubic(nodes, values)
 
     def cdf(y):
-        ymax, interp = interpolant()
+        ymax, direct, interp = interpolant()
         arr, scalar = _as_float_array(y)
         out = np.clip(interp(np.clip(arr, 0.0, ymax)), 0.0, 1.0)
+        low = (arr > 0.0) & (arr < direct)
+        if np.any(low):
+            out[low] = spacing_cdf_numeric(idx, params, arr[low], tol)
         # where the cdf is flat, rounding in the cubic wiggles by an ulp;
         # a running maximum in y keeps the returned values monotone
         order = np.argsort(arr, kind="stable")

@@ -139,6 +139,18 @@ def test_gamma_sample_deterministic_per_stream():
     assert np.all(a > 0)
 
 
+def test_stream_is_the_spawned_child_of_the_seed():
+    # block b's stream is numpy's b-th child of the seed, drawn by SFC64
+    for seed, b in [(0, 0), (42, 7), (2**64 - 1, 3), (2**32, 0)]:
+        child = np.random.SeedSequence(seed).spawn(b + 1)[b]
+        expected = np.random.SFC64(child).random_raw(16)
+        got = RngStream(seed, b).generator().bit_generator.random_raw(16)
+        assert np.array_equal(got, expected), (seed, b)
+    # keying by the entropy list [seed, b] would give these two one state
+    assert not np.array_equal(RngStream(2**32, 0).generator().random(16),
+                              RngStream(0, 1).generator().random(16))
+
+
 def test_gamma_sample_mean_matches_law():
     draws = RngStream(100, 0).generator().gamma(3.0, 1.0, 10**5)
     assert abs(draws.mean() - 3.0) < 3.0 * math.sqrt(3.0 / 10**5)

@@ -158,26 +158,26 @@ def test_block_addressing_extends_without_changing_earlier_blocks():
         assert not Counter(small.values.tolist()) - Counter(large.values.tolist())
 
 
-# Literal values of the block stream (philox-block-4096/v2): sorted
+# Literal values of the block stream (sfc64-block-4096/v3): sorted
 # samples and replication order at the first and last replication of
 # block 0, the first of block 1 and the last overall.  A change to any
 # of them changes the stream contract and STREAM_LAYOUT with it.
 PINNED_INDICES = [0, BLOCK - 1, BLOCK, -1]
 PINNED_SORTED = {
-    "zk": [0.002317715031274693, 0.8792808062960165, 0.8804865991847008,
-           0.9265478497307307],
-    "dk": [0.006395754534880627, 0.9601479619428717, 0.9602947246801747,
-           0.9695952902682416],
-    "y3": [1.179564239317532e-05, 5.45627204386015, 5.47829200171571,
-           8.642427287805347],
+    "zk": [0.00075518586779744, 0.8781785209194612, 0.8786678940951331,
+           0.9403951224140529],
+    "dk": [0.0019272442971241162, 0.9569206871374514, 0.9597902544619825,
+           0.9717929880025069],
+    "y3": [2.2030797372618593e-05, 5.034916053091115, 5.640055717546698,
+           7.020264517488628],
 }
 PINNED_IN_ORDER = {
-    "zk": [0.3132221660158486, 0.6254827827997834, 0.20621714813708159,
-           0.3923436515374201],
-    "dk": [0.6423671337707244, 0.7819323541600107, 0.4476903835714026,
-           0.7120869229110646],
-    "y3": [1.2117867313163293, 0.20484878747087487, 3.3300409653491925,
-           1.71283331899819],
+    "zk": [0.5978586414201086, 0.39924361776563116, 0.48054816884484863,
+           0.2998086041851096],
+    "dk": [0.8289998257334521, 0.639971636384266, 0.7183365468762155,
+           0.547409087358422],
+    "y3": [0.2528990678053641, 0.3184718782555107, 2.393729084685646,
+           0.3345701033601225],
 }
 
 

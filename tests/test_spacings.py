@@ -467,6 +467,21 @@ def test_spacing_law_cdf_interpolates_pointwise_cdf(m, bound):
     assert 1.0 - 1e-9 < law.cdf(1e6) <= 1.0
 
 
+@pytest.mark.parametrize("m, mass", [(0.01, 0.69), (0.05, 0.16)])
+def test_spacing_law_cdf_keeps_the_mass_near_zero_at_small_shape(m, mass):
+    # most of the mass lies below the cubic's first interior node
+    # (about 1.4e-6 here); there the cdf is the quadrature itself
+    law = spacing_law(2, 2, m)
+    assert law.route == "numeric"
+    idx, params = SpacingIndex(2, 2), GammaParams(m)
+    ys = np.geomspace(1e-16, 1e-6, 11)
+    pointwise = np.array([spacing_cdf_numeric(idx, params, y) for y in ys])
+    assert np.max(np.abs(law.cdf(ys) - pointwise)) < 1e-8
+    assert law.cdf(1e-8) > mass  # the cubic alone gives 0.0065 and 0.0020
+    values = law.cdf(np.concatenate([ys, [1e-5, 1e-3, 1.0]]))
+    assert np.all(np.diff(values) >= 0.0)
+
+
 @pytest.mark.parametrize("m", [0.3, 0.5, 2.5])
 def test_monotone_cubic_matches_scipy_pchip_on_the_reference_cdf(m):
     # the 257-node reference cdf of spacing_law, flat at 1 over its top
