@@ -21,6 +21,8 @@ option syntax, the ``--j``/``--stat``/``--k`` combination and DATAFILE.
 Every file, manifests included, is rendered and written by ``_write``,
 in one call per command, so a run leaves all of its files or none:
 each command only assembles its comment dict, columns and JSON document.
+A manifest's ``parameters`` are the declared options (``_params``), so
+typed order cannot change them; ``--workers`` changes no file and no record.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import errno
 import json
 import math
 import os
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -62,6 +65,8 @@ class CliError(click.ClickException):
 
 
 CHUNK = 4096  # CSV rows rendered per write
+_workers = click.option("--workers", type=int, default=1,
+                        help="Worker threads; results are identical for any count.")
 
 
 class _File(NamedTuple):
@@ -124,9 +129,21 @@ def _write(*files):
         click.echo(f"wrote {file.path}")
 
 
-def _manifest(stem, subcommand, parameters):
+def _params(**resolved):
+    """The running command's options by long flag (``--format`` -> ``format``)
+    in declaration order, ``resolved`` for values it computes, no ``--workers``."""
+    ctx = click.get_current_context()
+    params = {}
+    for option in ctx.command.params:
+        flag = option.opts[0].removeprefix("--")
+        if isinstance(option, click.Option) and flag != "workers":
+            params[flag] = resolved.get(flag, ctx.params[option.name])
+    return params
+
+
+def _manifest(stem, parameters):
     return _File(f"{stem}.manifest.json", doc={
-        "subcommand": subcommand,
+        "subcommand": click.get_current_context().command.name,
         "parameters": parameters,
         "version": __version__,
         "stream_layout": STREAM_LAYOUT,
@@ -188,8 +205,7 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
     if ymax is None:
         ymax = math.ceil(float(gamma_quantile(0.9999, GammaParams(m, 1.0))) * 10) / 10
     curves = [density_curve(law, ymax, points) for law in laws]
-    params = {"m": m, "n": n, "j": j, "which": which, "ymax": ymax,
-              "points": points, "tol": tol, "format": fmt, "output": output}
+    params = _params(ymax=ymax)
     files = []
     for law, curve in zip(laws, curves):
         meta = {**params, "curve": law.route}
@@ -198,7 +214,7 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
         files.append(_File(f"{output}_{law.route}.{fmt}", fmt,
                            doc={"meta": meta, **columns, **error},
                            comments={**meta, **error}, columns=columns))
-    _write(*files, _manifest(output, "density", params))
+    _write(*files, _manifest(output, params))
 
 
 @main.command()
@@ -213,8 +229,7 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
 @click.option("--k", type=int, default=None, help="Number of suspected outliers.")
 @click.option("--reps", type=int, default=10000, help="Monte Carlo replications.")
 @click.option("--seed", type=int, required=True, help="RNG seed (required).")
-@click.option("--workers", type=int, default=1,
-              help="Worker threads; results are identical for any count.")
+@_workers
 @click.option("--bins", type=int, default=None,
               help="Also write an area-normalized histogram with this many bins.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
@@ -232,10 +247,8 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
         sample = simulate_spacing(cfg, j, workers=workers)
     else:
         sample = simulate_statistic(cfg, stat, workers=workers)
-    params = {"n": n, "m": m, "sigma": sigma, "j": j, "stat": stat, "k": k,
-              "reps": reps, "seed": seed, "bins": bins, "format": fmt,
-              "output": output}
-    name, config = sample.statistic_name, sample.config.as_dict()
+    params = _params()
+    name, config = sample.statistic_name, asdict(sample.config)
     files = [_File(f"{output}.{fmt}", fmt,
                    doc={"statistic": name, "config": config, "values": sample.values},
                    comments={"statistic": name, **config}, columns={"value": sample.values})]
@@ -249,7 +262,7 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
                                      ("n", "m", "sigma", "reps", "seed", "bins")}},
                            columns={"bin_lo": edges[:-1], "bin_hi": edges[1:],
                                     "density": hist.densities}))
-    _write(*files, _manifest(output, "simulate", params))
+    _write(*files, _manifest(output, params))
 
 
 @main.command()
@@ -260,8 +273,7 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
 @click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, required=True)
 @click.option("--alpha", type=float, default=0.05, help="KS rejection level.")
-@click.option("--workers", type=int, default=1,
-              help="Worker threads; results are identical for any count.")
+@_workers
 @click.option("--output", type=click.Path(), default="validate")
 def validate(m_list, n, j, reps, seed, alpha, workers, output):
     """KS-test simulated spacings against the true and the claimed law.
@@ -299,11 +311,10 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
             f"{row['truth_p']:>10.4g}  {row['claimed_d']:>10.5f}  "
             f"{row['claimed_p']:>10.4g}  {verdict}"
         )
-    params = {"m": m_list, "n": n, "j": j, "reps": reps, "seed": seed,
-              "alpha": alpha, "output": output}
+    params = _params()
     _write(_File(f"{output}.json", doc={"subcommand": "validate", "parameters": params,
                                         "rows": rows}),
-           _manifest(output, "validate", params))
+           _manifest(output, params))
 
 
 @main.command("critical-values")
@@ -315,8 +326,7 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
               help="Comma-separated levels.")
 @click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1,
-              help="Worker threads; results are identical for any count.")
+@_workers
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--output", type=click.Path(), default="critical_values")
 def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output):
@@ -325,17 +335,16 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
     cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     sample = simulate_statistic(cfg, stat, workers=workers)
     crits = [critical_value(sample, a) for a in alphas]
-    params = {"n": n, "m": m, "k": k, "stat": stat, "alpha": alpha_list,
-              "reps": reps, "seed": seed, "format": fmt, "output": output}
+    params = _params()
     for a, v in zip(alphas, crits):
         click.echo(f"alpha={a:g}  critical_value={v!r}")
     _write(_File(f"{output}.{fmt}", fmt,
-                 doc={"statistic": stat, "config": sample.config.as_dict(),
+                 doc={"statistic": stat, "config": asdict(sample.config),
                       "rows": [{"alpha": a, "critical_value": v}
                                for a, v in zip(alphas, crits)]},
                  comments={key: params[key] for key in ("stat", "n", "m", "k", "reps", "seed")},
                  columns={"alpha": alphas, "critical_value": crits}),
-           _manifest(output, "critical-values", params))
+           _manifest(output, params))
 
 
 @main.command()
@@ -346,8 +355,7 @@ def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output)
 @click.option("--alpha", type=float, default=0.05)
 @click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1,
-              help="Worker threads; results are identical for any count.")
+@_workers
 @click.option("--output", type=click.Path(), default=None,
               help="Also write the JSON report (plus manifest) to this stem.")
 @click.pass_context
@@ -400,8 +408,8 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     click.echo(json.dumps(report, indent=2))
     if output is not None:
         _write(_File(f"{output}.json", doc=report),
-               _manifest(output, "test", {**report["config"], "alpha": alpha,
-                                          "datafile": str(datafile), "output": output}))
+               _manifest(output, {**report["config"], "alpha": alpha,
+                                  "datafile": str(datafile), "output": output}))
     ctx.exit(1 if discordant else 0)
 
 
@@ -417,8 +425,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
 @click.option("--reps", type=int, default=10000)
 @click.option("--seed", type=int, required=True,
               help="RNG seed: null from seed, every sweep row from seed+1.")
-@click.option("--workers", type=int, default=1,
-              help="Worker threads; results are identical for any count.")
+@_workers
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--output", type=click.Path(), default="power")
 def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
@@ -427,18 +434,17 @@ def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
     cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     powers = simulate_power(cfg, stat, bs, alpha, workers=workers)
     ses = [math.sqrt(p * (1.0 - p) / reps) for p in powers]
-    params = {"n": n, "m": m, "k": k, "b": b_list, "stat": stat, "alpha": alpha,
-              "reps": reps, "seed": seed, "format": fmt, "output": output}
+    params = _params()
     rows = list(zip(bs, powers, ses))
     for b, p, s in rows:
         click.echo(f"b={b:g}  power={p:.4f}  se={s:.4f}")
     _write(_File(f"{output}.{fmt}", fmt,
-                 doc={"statistic": stat, "config": cfg.as_dict(), "alpha": alpha,
+                 doc={"statistic": stat, "config": asdict(cfg), "alpha": alpha,
                       "rows": [{"b": b, "power": p, "se": s} for b, p, s in rows]},
                  comments={key: params[key] for key in ("stat", "n", "m", "k", "alpha",
                                                          "reps", "seed")},
                  columns={"b": bs, "power": powers, "se": ses}),
-           _manifest(output, "power", params))
+           _manifest(output, params))
 
 
 if __name__ == "__main__":

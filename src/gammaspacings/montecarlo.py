@@ -76,9 +76,10 @@ class NonFiniteDrawError(RuntimeError):
     """A scaled draw overflowed to a non-finite value."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
-    """Parameters of a Monte Carlo run.
+    """Parameters of a Monte Carlo run, given by keyword; ``dataclasses.asdict``
+    gives them in the order a run records them.
 
     ``k`` is required only for statistic simulations, and there it must
     satisfy ``1 <= k <= n-2``: at ``k = n-1`` both z_k and d_k are
@@ -88,9 +89,9 @@ class SimulationConfig:
 
     n: int
     m: float
+    sigma: float = 1.0
     reps: int
     seed: int
-    sigma: float = 1.0
     k: int | None = None
 
     def __post_init__(self):
@@ -108,16 +109,6 @@ class SimulationConfig:
                     f"and d_k are identically 1), got {k}"
                 )
             object.__setattr__(self, "k", k)
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "sigma": self.sigma,
-            "reps": self.reps,
-            "seed": self.seed,
-            "k": self.k,
-        }
 
 
 @dataclass(frozen=True, eq=False)

@@ -901,6 +901,26 @@ FORMAT_CASES = [
 ]
 
 
+@pytest.mark.parametrize("args", [args for _, args, _ in _BOTH_FORMATS] + [
+    ["validate", "--m", "1,2.5", "--n", "3", "--j", "3", "--reps", "300", "--seed", "2"],
+], ids=[name for name, _, _ in _BOTH_FORMATS] + ["validate"])
+def test_run_record_ignores_option_order_and_worker_count(runner, args):
+    """The options typed in reverse order, with ``--workers 2`` where the
+    command has it, give the same files, manifest text but ``timestamp``
+    included: the record lists the declared options, not the typed ones."""
+    command, pairs = args[0], list(zip(args[1::2], args[2::2]))
+    workers = [] if command == "density" else ["--workers", "2"]
+    reordered = [command, *workers, *[word for pair in pairs[::-1] for word in pair]]
+    texts = []
+    for argv in (args, reordered):
+        with runner.isolated_filesystem():
+            assert runner.invoke(main, argv).exit_code == 0
+            texts.append({path.name: [line for line in path.read_text().splitlines()
+                                      if '"timestamp"' not in line]
+                          for path in Path(".").iterdir()})
+    assert texts[0] == texts[1]
+
+
 def _exact(value):
     """``value`` with arrays as lists, as parsed JSON holds them."""
     if isinstance(value, dict):

@@ -1,7 +1,7 @@
 import math
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -51,6 +51,14 @@ def test_simulation_config_validation():
         SimulationConfig(n=2, m=1.0, reps=10.5, seed=0)
     cfg = SimulationConfig(n=5, m=2, reps=10, seed=3, k=3)
     assert cfg.m == 2.0 and cfg.k == 3
+
+
+def test_simulation_config_is_keyword_only_and_records_its_fields_in_order():
+    cfg = SimulationConfig(k=1, seed=3, reps=10, sigma=2.0, m=1.5, n=4)
+    assert list(asdict(cfg)) == ["n", "m", "sigma", "reps", "seed", "k"]
+    assert asdict(cfg) == {"n": 4, "m": 1.5, "sigma": 2.0, "reps": 10, "seed": 3, "k": 1}
+    with pytest.raises(TypeError):
+        SimulationConfig(4, 1.5, 10, 3)  # n, m, reps, seed by position
 
 
 def test_empirical_sample_validation():

@@ -482,10 +482,28 @@ def test_spacing_law_cdf_keeps_the_mass_near_zero_at_small_shape(m, mass):
     assert np.all(np.diff(values) >= 0.0)
 
 
+def test_numeric_cdf_takes_fewer_points_than_nodes_without_a_table(monkeypatch):
+    # density_curve's two cdf points below unit shape are one quadrature;
+    # y <= 0 and y = +-inf keep the table's answers (0 and the cdf at ymax)
+    def no_table(*args):
+        raise AssertionError("cdf table built")
+
+    monkeypatch.setattr(spacings, "_monotone_cubic", no_table)
+    law = spacing_law(3, 2, 0.5)
+    curve = density_curve(law, 6.0, 201)
+    mass = np.diff(spacing_cdf_numeric(SpacingIndex(3, 2), GammaParams(0.5),
+                                       curve.grid[[0, -1]]))[0]
+    assert curve.normalization_error == abs(np.trapezoid(curve.values, curve.grid) - mass)
+    values = law.cdf([math.inf, -math.inf, -1.0, 0.0, 1e6])
+    assert np.all(values[1:4] == 0.0) and values[0] == values[-1]
+    assert 1.0 - 1e-9 < values[0] <= 1.0
+
+
 @pytest.mark.parametrize("m", [0.3, 0.5, 2.5])
 def test_monotone_cubic_matches_scipy_pchip_on_the_reference_cdf(m):
     # the 257-node reference cdf of spacing_law, flat at 1 over its top
-    # nodes; law.cdf also clips y outside [0, ymax] to the end values
+    # nodes; law.cdf also clips y outside [0, ymax] to the end values,
+    # and below the first interior node it is the quadrature itself
     idx, params = SpacingIndex(3, 2), GammaParams(m)
     ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
     nodes = ymax * np.linspace(0.0, 1.0, spacings.CDF_NODES) ** 3
@@ -494,10 +512,12 @@ def test_monotone_cubic_matches_scipy_pchip_on_the_reference_cdf(m):
     ys = np.concatenate([nodes, np.linspace(0.0, ymax, 5001), np.geomspace(1e-9, ymax, 500)])
     oracle = PchipInterpolator(nodes, values)
     assert np.max(np.abs(spacings._monotone_cubic(nodes, values)(ys) - oracle(ys))) <= 1e-14
-    outside = np.array([-5.0, -1e-300, ymax * (1 + 1e-12), 2 * ymax, 1e6])
-    law_cdf = spacing_law(3, 2, m).cdf(np.concatenate([ys, outside]))
-    expected = np.clip(oracle(np.clip(np.concatenate([ys, outside]), 0.0, ymax)), 0.0, 1.0)
-    assert np.max(np.abs(law_cdf - expected)) <= 1e-14
+    ys = np.concatenate([ys, [-5.0, -1e-300, ymax * (1 + 1e-12), 2 * ymax, 1e6]])
+    law_cdf = spacing_law(3, 2, m).cdf(ys)
+    low = (ys > 0.0) & (ys < nodes[1])
+    expected = np.clip(oracle(np.clip(ys[~low], 0.0, ymax)), 0.0, 1.0)
+    assert np.max(np.abs(law_cdf[~low] - expected)) <= 1e-14
+    assert np.max(np.abs(law_cdf[low] - spacing_cdf_numeric(idx, params, ys[low]))) <= 1e-14
 
 
 def test_monotone_cubic_matches_scipy_pchip_with_flat_runs_and_uneven_steps():
