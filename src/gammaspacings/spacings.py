@@ -534,17 +534,16 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
 
     ``route="auto"`` is ``exact`` when ``n = j = 2`` and ``m`` is an
     integer from 1 to ``EXACT_MAX_M``, else ``numeric``, whose quadrature
-    tolerance is ``tol``.  The numeric cdf is constant outside
-    ``[0, ymax]``, ``ymax = 2 Q(1 - 1e-8)``.  A call with fewer points
-    than ``CDF_NODES`` is one ``spacing_cdf_numeric`` call.  A larger one
-    reads a monotone cubic (``_monotone_cubic``) through
-    ``spacing_cdf_numeric`` at the ``CDF_NODES`` nodes ``ymax t^3`` (``t``
-    uniform on [0, 1]), built on first use, except inside
-    ``(0, nodes[1])``, whose points take one direct quadrature: near 0
-    the cubic can miss mass (at n = j = 2, m = 0.01 the law puts 0.70
-    below 1e-8, the cubic 0.0065).  Returned values are monotone in
-    ``y``.  Raises ValueError for an unknown route, ``exact`` outside its
-    domain, bad ``n``, ``j``, ``m``, or ``tol`` not in (0, 1).
+    tolerance is ``tol`` and whose cdf, built on first call, is a
+    monotone cubic (``_monotone_cubic``) through ``spacing_cdf_numeric``
+    at ``CDF_NODES`` nodes ``ymax t^3`` (``t`` uniform on [0, 1],
+    ``ymax = 2 Q(1 - 1e-8)``), constant outside ``[0, ymax]``, except
+    inside ``(0, nodes[1])``, whose points take one direct
+    ``spacing_cdf_numeric`` call: near 0 the cubic can miss mass (at
+    n = j = 2, m = 0.01 the law puts 0.70 below 1e-8, the cubic 0.0065).
+    Returned values are monotone in ``y``.  Raises ValueError for an
+    unknown route, ``exact`` outside its domain, bad ``n``, ``j``, ``m``,
+    or ``tol`` not in (0, 1).
     """
     idx = SpacingIndex(n, j)
     params = GammaParams(m, 1.0)
@@ -566,27 +565,22 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
     if route != "numeric":
         raise ValueError(f"route must be auto, exact, numeric or claimed, got {route!r}")
 
-    ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
-
     @functools.cache
     def interpolant():
+        ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
         nodes = ymax * np.linspace(0.0, 1.0, CDF_NODES) ** 3
         values = np.maximum.accumulate(spacing_cdf_numeric(idx, params, nodes, tol))
-        return nodes[1], _monotone_cubic(nodes, values)
+        return ymax, nodes[1], _monotone_cubic(nodes, values)
 
     def cdf(y):
+        ymax, first, interp = interpolant()
         arr, scalar = _as_float_array(y)
-        arr = np.clip(arr, 0.0, ymax)
-        if arr.size < CDF_NODES:  # one quadrature, cheaper than building the table
-            out = spacing_cdf_numeric(idx, params, arr, tol)
-        else:
-            first, interp = interpolant()
-            out = np.clip(interp(arr), 0.0, 1.0)
-            low = (arr > 0.0) & (arr < first)
-            if np.any(low):
-                out[low] = spacing_cdf_numeric(idx, params, arr[low], tol)
-        # where the cdf is flat, rounding in the cubic or the quadrature
-        # wiggles; a running maximum in y keeps the returned values monotone
+        out = np.clip(interp(np.clip(arr, 0.0, ymax)), 0.0, 1.0)
+        low = (arr > 0.0) & (arr < first)
+        if np.any(low):
+            out[low] = spacing_cdf_numeric(idx, params, arr[low], tol)
+        # where the cdf is flat, rounding in the cubic wiggles by an ulp;
+        # a running maximum in y keeps the returned values monotone
         order = np.argsort(arr, kind="stable")
         out[order] = np.maximum.accumulate(out[order])
         return _maybe_scalar(out, scalar)
@@ -612,9 +606,9 @@ def density_curve(law: SpacingLaw, y_max, points) -> DensityCurve:
     DensityCurve
         With ``normalization_error = |trapezoid(values) - 1|``, or at
         ``law.m < 1`` ``|trapezoid(values) - (F(y_max) - F(y_0))|`` with
-        ``F = law.cdf`` at both points in one call: there most of the
-        mass can lie below the first grid point ``y_0`` (92 % at
-        m = 0.05, n = 3, j = 2), so a mass of one would flag a correct curve.
+        ``F = law.cdf``: there most of the mass can lie below the first
+        grid point ``y_0`` (92 % at m = 0.05, n = 3, j = 2), so a mass
+        of one would flag a correct curve.
     """
     y_max = float(y_max)
     if not math.isfinite(y_max) or y_max <= 0:
@@ -623,6 +617,6 @@ def density_curve(law: SpacingLaw, y_max, points) -> DensityCurve:
     if law.m < 1:
         grid[0] = grid[1] / 2.0
     values = law.pdf(grid)
-    mass = 1.0 if law.m >= 1 else float(np.diff(law.cdf(grid[[0, -1]]))[0])
+    mass = 1.0 if law.m >= 1 else float(law.cdf(grid[-1]) - law.cdf(grid[0]))
     err = abs(float(np.trapezoid(values, grid)) - mass)
     return DensityCurve(grid=grid, values=values, normalization_error=err)

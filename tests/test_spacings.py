@@ -482,23 +482,6 @@ def test_spacing_law_cdf_keeps_the_mass_near_zero_at_small_shape(m, mass):
     assert np.all(np.diff(values) >= 0.0)
 
 
-def test_numeric_cdf_takes_fewer_points_than_nodes_without_a_table(monkeypatch):
-    # density_curve's two cdf points below unit shape are one quadrature;
-    # y <= 0 and y = +-inf keep the table's answers (0 and the cdf at ymax)
-    def no_table(*args):
-        raise AssertionError("cdf table built")
-
-    monkeypatch.setattr(spacings, "_monotone_cubic", no_table)
-    law = spacing_law(3, 2, 0.5)
-    curve = density_curve(law, 6.0, 201)
-    mass = np.diff(spacing_cdf_numeric(SpacingIndex(3, 2), GammaParams(0.5),
-                                       curve.grid[[0, -1]]))[0]
-    assert curve.normalization_error == abs(np.trapezoid(curve.values, curve.grid) - mass)
-    values = law.cdf([math.inf, -math.inf, -1.0, 0.0, 1e6])
-    assert np.all(values[1:4] == 0.0) and values[0] == values[-1]
-    assert 1.0 - 1e-9 < values[0] <= 1.0
-
-
 @pytest.mark.parametrize("m", [0.3, 0.5, 2.5])
 def test_monotone_cubic_matches_scipy_pchip_on_the_reference_cdf(m):
     # the 257-node reference cdf of spacing_law, flat at 1 over its top
