@@ -11,10 +11,13 @@ pdf and a cdf:
   any array is built.
 * ``numeric``: ``spacing_pdf_numeric`` / ``spacing_cdf_numeric``, one
   adaptive vector quadrature each for a whole array of ``y``, for any
-  ``n``, any ``j`` and any real shape ``m > 0``.  The quadrature (a
-  globally adaptive Gauss-Kronrod 21 rule) and the cdf's monotone cubic
-  interpolant are small numpy functions here, so ``scipy.special`` is
-  the only scipy module the package imports.
+  ``n``, any ``j`` and any real shape ``m > 0``.  The integrands are
+  evaluated in log space, and the quadrature starts at breakpoints from
+  the law of ``X_(j-1)`` (``_integrate_over_x``), so neither a large
+  coefficient nor mass crowded near 0 at large ``n`` is lost.  The
+  quadrature (a globally adaptive Gauss-Kronrod 21 rule) and the cdf's
+  monotone cubic interpolant are small numpy functions here, so
+  ``scipy.special`` is the only scipy module the package imports.
 * ``claimed``: the conjectured law ``Gamma(m, 1/(n-j+1))``.  It is exact
   when ``m == 1`` and wrong otherwise; it is provided so the discrepancy
   can be measured.
@@ -56,9 +59,20 @@ __all__ = [
 LN2 = math.log(2.0)
 
 # Cap on adaptive subdivisions before quadrature is declared failed.
-# Converging grids use 2-24 intervals at tol >= 1e-11; y = 0 at
-# 0.6 <= m < 1 needs up to about 110.
+# Converging grids use 9-19 intervals at tol >= 1e-11 (8 start at the
+# breakpoints); y = 0 at 0.6 <= m < 1 needs up to about 110.
 SUBDIVISION_LIMIT = 128
+
+# Levels of ``Beta(j-1, n-j+2)``, the law of ``F(X_(j-1))``, whose
+# quantiles start the numeric routes' subdivision (``_integrate_over_x``).
+# The tail levels matter: at n = 5000, j = 2, m = 1 the last 1e-3 of that
+# law's mass in one wide interval was invisible to GK21 (error 8.6e-4).
+BREAK_LEVELS = (1e-12, 1e-6, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-12)
+
+# Intervals whose GK21 nodes go to the integrand in one call.  Two keep
+# its temporaries at the size of one bisection, (42, len(y)), however
+# many intervals a round or the breakpoints start.
+_GK21_GROUP = 2
 
 # Interpolation nodes of the numeric route's cdf in ``spacing_law``.
 CDF_NODES = 257
@@ -293,13 +307,21 @@ def _checked(y, tol):
 
 def _gk21(fn, a, b):
     """QUADPACK's ``qk21`` on every interval ``[a[i], b[i]]``, with one call
-    of ``fn`` on all their nodes (one row of values per node).
+    of ``fn`` per ``_GK21_GROUP`` intervals on all their nodes (one row of
+    values per node), so the integrand's temporaries keep that size.
 
     Returns the integrals ``(len(a), cols)`` and, per interval, the
     max-norm error estimate ``dabs min(1, (200 err / dabs)^1.5)``, at
     least the rounding estimate ``50 eps h int |f|``, and that rounding
-    estimate.  The sums run node by node in ``quad_vec``'s order.
+    estimate.  The sums run node by node in ``quad_vec``'s order, each
+    interval on its own, so the grouping does not change a bit.
     """
+    groups = [_qk21(fn, a[i:i + _GK21_GROUP], b[i:i + _GK21_GROUP])
+              for i in range(0, a.size, _GK21_GROUP)]
+    return tuple(np.concatenate(parts) for parts in zip(*groups))
+
+
+def _qk21(fn, a, b):
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     f = fn((c + h * _GK21_X[:, None]).ravel()).reshape(21, a.size, -1)
     s_k = s_abs = s_g = s_dabs = 0.0
@@ -320,22 +342,31 @@ def _gk21(fn, a, b):
     return h * s_k, err, rounding
 
 
-def _adaptive_gk21(fn, a, b, tol):
-    """Globally adaptive GK21 of a vector integrand over ``[a, b]``.
+def _adaptive_gk21(fn, points, tol):
+    """Globally adaptive GK21 of a vector integrand over
+    ``[points[0], points[-1]]``, starting from the intervals between
+    consecutive ``points`` (increasing).
 
-    ``scipy.integrate.quad_vec``'s rules (``norm="max"``, ``epsrel=0``),
-    so the same intervals come out.  Each round bisects the intervals of
-    largest error until their error sum exceeds ``global_err - tol/8``,
-    with one ``fn`` call for all their nodes, and never past
-    ``SUBDIVISION_LIMIT`` intervals (``quad_vec`` can overshoot it by a
-    round).  Returns ``(integral, global_err + rounding, status,
-    intervals)``; status 0 is converged (``global_err < tol/8``), 2 a
-    stop on ``global_err`` below the summed rounding estimate, 3 a
-    non-finite estimate and 1 ``SUBDIVISION_LIMIT``.
+    ``scipy.integrate.quad_vec``'s rules (``norm="max"``, ``epsrel=0``,
+    the inner points as ``points=``), so the same intervals come out: the
+    starting intervals are evaluated in one pass, and convergence is
+    tested only after a bisection round.  Each round bisects the
+    intervals of largest error until their error sum exceeds
+    ``global_err - tol/8``, and never past ``SUBDIVISION_LIMIT``
+    intervals (``quad_vec`` can overshoot it by a round).  Returns
+    ``(integral, global_err + rounding, status, intervals)``; status 0 is
+    converged (``global_err < tol/8``), 2 a stop on ``global_err`` below
+    the summed rounding estimate, 3 a non-finite estimate and 1
+    ``SUBDIVISION_LIMIT``.
     """
-    ig, err, rnd = _gk21(fn, np.array([a]), np.array([b]))
-    total, total_err, rounding, parts = ig[0], err[0], rnd[0], [ig[0]]
-    heap, status = [(-err[0], a, b, 0)], 1
+    parts, err, rnd = _gk21(fn, points[:-1], points[1:])
+    parts = list(parts)
+    total, total_err, rounding = parts[0], err[0], rnd[0]
+    for q in range(1, len(parts)):
+        total, total_err, rounding = total + parts[q], total_err + err[q], rounding + rnd[q]
+    heap = [(-e, lo, hi, q) for q, (e, lo, hi) in enumerate(zip(err, points[:-1], points[1:]))]
+    heapq.heapify(heap)
+    status = 1
     while status == 1 and len(heap) < SUBDIVISION_LIMIT:
         # each bisection adds one interval: stop at SUBDIVISION_LIMIT
         todo, err_sum, cap = [], 0.0, min(128, SUBDIVISION_LIMIT - len(heap))
@@ -358,33 +389,46 @@ def _adaptive_gk21(fn, a, b, tol):
     return total, total_err + rounding, status, len(heap)
 
 
-def _integrate_over_x(params: GammaParams, integrand, tol, past=0.0):
-    """``int_0^U integrand(x, f(x)) dx``, ``U = sigma Q(1 - 1e-14) + past``.
+def _integrate_over_x(idx: SpacingIndex, params: GammaParams, integrand, tol, past=0.0):
+    """``int_0^U integrand(x, log f(x)) dx``, ``U = sigma Q(1 - 1e-14) + past``.
 
-    ``integrand`` maps a 1-D array of ``x`` and the matching weights to
-    one row of values per ``x``; all columns are integrated on one
+    ``integrand`` maps a 1-D array of ``x`` and the matching log weights
+    to one row of values per ``x``; all columns are integrated on one
     adaptive GK21 subdivision (``_adaptive_gk21``) until the error
     estimate of the largest entry is below ``tol / 8``.  A stop on
     rounding error counts as converged if that estimate, rounding
-    included, is still within ``tol``.  For ``m < 1`` the density ``f``
-    is singular at 0, so the integral runs over ``u = (x/sigma)**m`` and
-    passes the bounded weight ``f(x) dx / du = exp(-x/sigma) / G(m+1)``
-    in place of ``f(x)``.
+    included, is still within ``tol``.  The subdivision starts at the
+    breakpoints ``x = sigma Q(v)``, with ``v`` the ``BREAK_LEVELS``
+    quantiles of ``Beta(j-1, n-j+2)``, the law of ``F(X_(j-1))`` (David
+    & Nagaraja, *Order Statistics*, 2.1): between them lies the mass of
+    ``X_(j-1)``, which a single starting interval can miss at large
+    ``n``.  For ``m < 1`` the density ``f`` is singular at 0, so the
+    integral runs over ``u = (x/sigma)**m`` (breakpoints included) and
+    passes the log of the bounded weight ``f(x) dx / du = exp(-x/sigma)
+    / G(m+1)`` in place of ``log f(x)``.
     """
     m, sigma = params.m, params.sigma
     upper = sigma * float(gamma_quantile(1.0 - 1e-14, GammaParams(m, 1.0))) + past
+    levels = special.betaincinv(idx.j - 1, idx.n - idx.j + 2, BREAK_LEVELS)
+    breaks = sigma * special.gammaincinv(m, levels)
     if m >= 1.0:
+        log_norm = math.lgamma(m) + math.log(sigma)
+
         def fn(x):
-            return integrand(x, gamma_pdf(x, params))
+            t = x / sigma
+            return integrand(x, (m - 1.0) * np.log(t) - t - log_norm)
     else:
         lgm1 = math.lgamma(m + 1.0)
 
         def fn(u):
             t = u ** (1.0 / m)
-            return integrand(sigma * t, np.exp(-t - lgm1))
+            return integrand(sigma * t, -t - lgm1)
 
-        upper = (upper / sigma) ** m
-    value, err, status, intervals = _adaptive_gk21(fn, 0.0, upper, tol)
+        upper, breaks = (upper / sigma) ** m, (breaks / sigma) ** m
+    inner = np.unique(breaks[(breaks > 0.0) & (breaks < upper)])
+    with np.errstate(divide="ignore"):  # log 0 = -inf where F or S underflows
+        value, err, status, intervals = _adaptive_gk21(
+            fn, np.concatenate([[0.0], inner, [upper]]), tol)
     if status != 0 and not (status == 2 and err <= tol):
         raise QuadratureError(
             f"quadrature on [0, {upper:g}] did not converge to {tol:g} in "
@@ -402,12 +446,17 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
 
     over ``x in (0, U)`` with ``U = sigma * Q(1 - 1e-14) + max(y)``,
     where ``f``/``F``/``Q`` are the ``Gamma(m, sigma)`` density, cdf and
-    quantile (for ``m < 1`` in the variable ``u = (x/sigma)**m``).  All
-    entries of ``y`` share one adaptive subdivision of that range.
-    Works for any real shape ``m > 0`` and any ``j``, except at
-    ``y = 0`` for ``m <= 1/2``, where the density is infinite; at
-    ``y = 0`` for ``1/2 < m`` below about 0.6 the singular integrand
-    needs more than ``SUBDIVISION_LIMIT`` intervals (QuadratureError).
+    quantile (for ``m < 1`` in the variable ``u = (x/sigma)**m``).  The
+    integrand is one ``exp`` of its log, with the binomial part
+    ``C(n-2, j-2)`` of the coefficient inside (``gammaln``) and the
+    factor ``n (n-1)`` outside, so neither the coefficient overflows nor
+    the powers of ``F`` and ``1 - F`` underflow at large ``n``.  All
+    entries of ``y`` share one adaptive subdivision of that range,
+    started at the breakpoints of ``_integrate_over_x``.  Works for any
+    real shape ``m > 0``, any ``n`` and any ``j``, except at ``y = 0``
+    for ``m <= 1/2``, where the density is infinite; at ``y = 0`` for
+    ``1/2 < m`` below about 0.6 the singular integrand needs more than
+    ``SUBDIVISION_LIMIT`` intervals (QuadratureError).
 
     Parameters
     ----------
@@ -417,7 +466,11 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
         Points of evaluation; the density is 0 for ``y < 0``.  A float
         returns a float, an array an array of the same length.
     tol : float
-        Absolute error budget, a bound on the largest error over ``y``.
+        Absolute error budget, a bound on the largest error over ``y``
+        on the quadrature's own estimate.  At ``n`` in the thousands the
+        density is of order ``n``, and the log coefficient from
+        ``gammaln`` carries a relative rounding of up to about 1e-11,
+        which that estimate does not see.
 
     Raises
     ------
@@ -432,21 +485,22 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     if np.any(live):
         ys = arr[live]
         n, j = idx.n, idx.j
-        coef = float(math.factorial(n) // (math.factorial(j - 2) * math.factorial(n - j)))
         m, sigma = params.m, params.sigma
+        log_coef = float(_log_binom(n - 2, j - 2)) - math.lgamma(m) - math.log(sigma)
 
-        def integrand(x, w):
-            x = x[:, None]
-            t = x + ys
-            val = w[:, None] * gamma_pdf(t, params)
+        def integrand(x, log_w):
+            row = log_coef + log_w
             if j > 2:
-                val *= special.gammainc(m, x / sigma) ** (j - 2)
+                row = row + (j - 2) * np.log(special.gammainc(m, x / sigma))
+            t = (x[:, None] + ys) / sigma
+            log_f = row[:, None] - t + (m - 1.0) * np.log(t)
             if j < n:
-                val *= special.gammaincc(m, t / sigma) ** (n - j)
-            return val
+                log_f += (n - j) * np.log(special.gammaincc(m, t))
+            return np.exp(log_f)
 
-        value = _integrate_over_x(params, integrand, tol / coef, past=ys.max())
-        out[live] = np.maximum(0.0, coef * value)
+        scale = n * (n - 1.0)
+        value = _integrate_over_x(idx, params, integrand, tol / scale, past=ys.max())
+        out[live] = np.maximum(0.0, scale * value)
     return _maybe_scalar(out, scalar)
 
 
@@ -455,18 +509,20 @@ def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     adaptive quadrature.
 
     The joint density of ``(X_(j-1), X_(j))`` integrates over the upper
-    rank to an incomplete beta function (David & Nagaraja, *Order
-    Statistics*, 2.2).  With ``S = 1 - F``:
+    rank in closed form (David & Nagaraja, *Order Statistics*, 2.2).
+    With ``S = 1 - F`` and ``c = n-j+1``:
 
-        P(Y_j <= y) = n! / ((j-2)! (n-j+1)!) *
-            int F(x)^(j-2) f(x) S(x)^(n-j+1) I_z(1, n-j+1) dx,
+        P(Y_j <= y) = n! / ((j-2)! c!) *
+            int F(x)^(j-2) f(x) S(x)^c [1 - (S(x+y) / S(x))^c] dx.
 
-    ``1 - z = S(x+y) / S(x)``.  ``I_z = betaincc(n-j+1, 1, S(x+y)/S(x))``
-    does not cancel at large ``x``.  ``x`` runs over ``(0, U)``,
-    ``U = sigma * Q(1 - 1e-14)``, as in ``spacing_pdf_numeric``: ``y``
-    may be a float or a 1-D array, all entries share one adaptive
-    subdivision, and ``tol`` bounds the largest error over ``y``.  The
-    result is 0 for ``y <= 0`` and clamped to ``[0, 1]``.
+    The bracket is ``-expm1(c (log S(x+y) - log S(x)))``, which does not
+    cancel at small ``y`` or at large ``x``, and the rest is one ``exp``
+    of its log with ``C(n-1, j-2)`` inside and the factor ``n`` outside,
+    as in ``spacing_pdf_numeric``.  ``x`` runs over ``(0, U)``,
+    ``U = sigma * Q(1 - 1e-14)``, on the same breakpoints: ``y`` may be
+    a float or a 1-D array, all entries share one adaptive subdivision,
+    and ``tol`` bounds the largest error over ``y``.  The result is 0 for
+    ``y <= 0`` and clamped to ``[0, 1]``.
     """
     arr, scalar = _checked(y, tol)
     out = np.zeros_like(arr)
@@ -474,23 +530,21 @@ def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     if np.any(live):
         ys = arr[live]
         n, j = idx.n, idx.j
-        scale = float(math.factorial(n) // (math.factorial(j - 2) * math.factorial(n - j + 1)))
+        c = n - j + 1
         m, sigma = params.m, params.sigma
+        log_coef = float(_log_binom(n - 1, j - 2))
 
-        def integrand(x, w):
-            x = x[:, None]
-            sx = special.gammaincc(m, x / sigma)
-            # a row where S(x) underflows to 0 is 0 through sx ** (n-j+1);
-            # at y of an ulp the rounded ratio can exceed 1, where betaincc is nan
-            ratio = special.gammaincc(m, (x + ys) / sigma) / np.where(sx > 0.0, sx, 1.0)
-            ratio = np.minimum(ratio, 1.0)
-            val = w[:, None] * sx ** (n - j + 1) * special.betaincc(n - j + 1, 1, ratio)
+        def integrand(x, log_w):
+            log_sx = np.log(special.gammaincc(m, x / sigma))
+            row = log_coef + log_w + c * log_sx
             if j > 2:
-                val *= special.gammainc(m, x / sigma) ** (j - 2)
-            return val
+                row = row + (j - 2) * np.log(special.gammainc(m, x / sigma))
+            # log S(x+y)/S(x) <= 0, but it rounds above 0 at y of an ulp
+            log_ratio = np.log(special.gammaincc(m, (x[:, None] + ys) / sigma)) - log_sx[:, None]
+            return np.exp(row)[:, None] * -np.expm1(c * np.minimum(log_ratio, 0.0))
 
-        value = _integrate_over_x(params, integrand, tol / scale)
-        out[live] = np.clip(scale * value, 0.0, 1.0)
+        value = _integrate_over_x(idx, params, integrand, tol / n)
+        out[live] = np.clip(n * value, 0.0, 1.0)
     return _maybe_scalar(out, scalar)
 
 
@@ -543,7 +597,8 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
     n = j = 2, m = 0.01 the law puts 0.70 below 1e-8, the cubic 0.0065).
     Returned values are monotone in ``y``.  Raises ValueError for an
     unknown route, ``exact`` outside its domain, bad ``n``, ``j``, ``m``,
-    or ``tol`` not in (0, 1).
+    or ``tol`` not in (0, 1).  The first cdf call raises QuadratureError
+    unless the table's last value, at ``ymax``, is within ``tol`` of 1.
     """
     idx = SpacingIndex(n, j)
     params = GammaParams(m, 1.0)
@@ -570,6 +625,9 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
         ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
         nodes = ymax * np.linspace(0.0, 1.0, CDF_NODES) ** 3
         values = np.maximum.accumulate(spacing_cdf_numeric(idx, params, nodes, tol))
+        if values[-1] < 1.0 - tol:  # mass the quadrature missed, or ymax too small
+            raise QuadratureError(f"the numeric cdf reaches {values[-1]:.6g} at ymax = "
+                                  f"{ymax:g}, not 1 within {tol:g}")
         return ymax, nodes[1], _monotone_cubic(nodes, values)
 
     def cdf(y):

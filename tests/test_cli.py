@@ -142,6 +142,20 @@ def test_density_normalization_error_below_unit_shape(runner, m, bound):
             assert blob["normalization_error"] < bound, (route, blob["normalization_error"])
 
 
+def test_density_of_a_mid_rank_at_large_n_exits_zero(runner):
+    # the coefficient n!/((j-2)!(n-j)!) used to overflow a float: an
+    # OverflowError, exit 1, the code that means "discordant".  Five points
+    # on the default [0, 11.8] cannot resolve a law of scale 1/376, so the
+    # mass is checked on a grid that does
+    with runner.isolated_filesystem():
+        args = ["density", "--m", "2", "--n", "1200", "--j", "600", "--format", "json"]
+        assert runner.invoke(main, args + ["--points", "5"]).exit_code == 0
+        assert runner.invoke(main, args + ["--ymax", "0.06", "--points", "2001"]).exit_code == 0
+        blob = json.loads(Path("density_numeric.json").read_text())
+        assert blob["normalization_error"] < 1e-4
+        assert blob["f"][0] == pytest.approx(376.24, rel=1e-4)
+
+
 def test_density_numeric_route_matches_claimed_at_m1(runner):
     with runner.isolated_filesystem():
         result = invoke(runner, [
@@ -353,6 +367,18 @@ def test_validate_numeric_route_below_unit_shape(runner):
             assert row["truth_route"] == "numeric"
             assert row["truth_p"] >= 1e-3
             assert row["claimed_p"] < 1e-6
+
+
+def test_validate_keeps_the_exponential_law_at_large_n(runner):
+    # the numeric law used to read 0 here, so the true law was rejected
+    # (truth_p 0) while the claimed law, exact at m = 1, passed
+    with runner.isolated_filesystem():
+        result = invoke(runner, ["validate", "--m", "1", "--n", "1100", "--j", "2",
+                                 "--reps", "2000", "--seed", "1"])
+        assert result.exit_code == 0
+        row = json.loads(Path("validate.json").read_text())["rows"][0]
+        assert row["truth_route"] == "numeric"
+        assert row["truth_p"] >= 0.01
 
 
 def test_validate_usage_validation(runner):

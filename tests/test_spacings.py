@@ -515,27 +515,88 @@ def test_monotone_cubic_matches_scipy_pchip_with_flat_runs_and_uneven_steps():
 
 @pytest.mark.parametrize("idx, m", ARRAY_CASES, ids=case_id)
 def test_adaptive_gk21_follows_quad_vec(idx, m, monkeypatch):
-    # the same subdivision as scipy's quad_vec (GK21, max norm): equal
-    # interval counts, values equal to rounding
+    # the same subdivision as scipy's quad_vec (GK21, max norm, the same
+    # breakpoints): equal interval counts, values equal to rounding
     seen = {}
 
-    def record(fn, a, b, tol):
-        seen["fn"], seen["args"] = fn, (a, b, tol)
-        seen["ours"] = adaptive(fn, a, b, tol)
+    def record(fn, points, tol):
+        seen["fn"], seen["args"] = fn, (points, tol)
+        seen["ours"] = adaptive(fn, points, tol)
         return seen["ours"]
 
     adaptive = spacings._adaptive_gk21
     monkeypatch.setattr(spacings, "_adaptive_gk21", record)
     ys = np.linspace(0.01, 12.0, 301)
     spacing_pdf_numeric(idx, GammaParams(m), ys)
-    fn, (a, b, tol) = seen["fn"], seen["args"]
+    fn, (points, tol) = seen["fn"], seen["args"]
     value, err, status, intervals = seen["ours"]
     ref, ref_err, info = integrate.quad_vec(
-        lambda x: fn(np.array([x]))[0], a, b, epsabs=tol, epsrel=0.0, norm="max",
-        limit=spacings.SUBDIVISION_LIMIT, full_output=True)
+        lambda x: fn(np.array([x]))[0], points[0], points[-1], epsabs=tol, epsrel=0.0,
+        norm="max", limit=spacings.SUBDIVISION_LIMIT, points=points[1:-1], full_output=True)
     assert (status, intervals) == (info.status, len(info.intervals))
     assert np.max(np.abs(value - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
     assert abs(err - ref_err) <= 1e-12 * ref_err
+
+
+@pytest.mark.parametrize("group", [1, 2 * spacings.SUBDIVISION_LIMIT])
+def test_grouped_integrand_calls_give_the_same_bits(group, monkeypatch):
+    # one integrand call per interval, or one for every interval of a pass
+    # (a round bisects at most SUBDIVISION_LIMIT), against the default
+    cases = [(SpacingIndex(4, 3), 2.5), (SpacingIndex(5, 4), 0.3), (SpacingIndex(1200, 600), 2.0)]
+    ys = np.linspace(0.0, 3.0, 301)
+    routes = (spacing_pdf_numeric, spacing_cdf_numeric)
+    default = [fn(idx, GammaParams(m), ys / idx.n) for idx, m in cases for fn in routes]
+    monkeypatch.setattr(spacings, "_GK21_GROUP", group)
+    grouped = [fn(idx, GammaParams(m), ys / idx.n) for idx, m in cases for fn in routes]
+    assert all(np.array_equal(a, b) for a, b in zip(default, grouped))
+
+
+LARGE_N_CASES = [(n, j) for n in (1030, 5000, 20000) for j in (2, 3, n // 2)]
+
+
+@pytest.mark.parametrize("n, j", LARGE_N_CASES)
+def test_numeric_routes_give_the_exponential_law_at_large_n(n, j):
+    # at m = 1, Y_j ~ Exp(n-j+1).  From a single starting interval every
+    # GK21 node missed the mass of X_(j-1) near 0, so the routes returned
+    # 0, and the mid-rank coefficient overflowed a float.  The pdf bound
+    # is relative: log C(n-2, j-2) from gammaln carries up to about 1e-11
+    # of relative rounding, which at values near n exceeds 1e-9
+    rate = n - j + 1
+    idx, params = SpacingIndex(n, j), GammaParams(1.0)
+    ys = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 10.0]) / rate
+    pdf = spacing_pdf_numeric(idx, params, ys)
+    cdf = spacing_cdf_numeric(idx, params, ys)
+    assert np.max(np.abs(pdf / (rate * np.exp(-rate * ys)) - 1.0)) < 1e-10
+    assert np.max(np.abs(cdf + np.expm1(-rate * ys))) < 1e-10
+
+
+def test_spacing_law_cdf_raises_when_its_table_misses_mass(monkeypatch):
+    # a quadrature that sees no mass gives a table that never reaches 1
+    monkeypatch.setattr(spacings, "_adaptive_gk21", lambda fn, points, tol: (0.0, 0.0, 0, 1))
+    law = spacing_law(4, 3, 2.5)
+    with pytest.raises(QuadratureError, match=r"numeric cdf reaches 0 at ymax = .*, not 1"):
+        law.cdf(1.0)
+
+
+def test_spacing_law_cdf_at_large_n_reaches_one_and_follows_the_exponential_law():
+    # the table's own interpolation error at this scale is about 5e-4
+    rate = 1029
+    law = spacing_law(1030, 2, 1.0)
+    assert law.route == "numeric"
+    ys = np.geomspace(1e-6, 20.0, 400) / rate
+    assert np.max(np.abs(law.cdf(ys) + np.expm1(-rate * ys))) < 1e-3
+    assert 1.0 - 1e-9 <= law.cdf(1e6) <= 1.0
+
+
+def test_spacing_pdf_numeric_converges_at_tol_1e_13():
+    # density's default grid at m = 2.5, which from a single starting
+    # interval stopped on the summed rounding estimate (QuadratureError)
+    idx, params, tol = SpacingIndex(4, 3), GammaParams(2.5), 1e-13
+    ymax = math.ceil(float(gamma_quantile(0.9999, params)) * 10) / 10
+    ys = np.linspace(0.0, ymax, 2001)
+    pdf = spacing_pdf_numeric(idx, params, ys, tol)
+    for i in (1, 100, 200, 300, 400, 500):
+        assert abs(pdf[i] - mpmath_spacing_law(idx, 2.5, ys[i], cdf=False)) < tol, ys[i]
 
 
 def test_adaptive_gk21_stops_at_the_subdivision_limit():
