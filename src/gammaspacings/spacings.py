@@ -11,10 +11,10 @@ pdf and a cdf:
   any array is built.
 * ``numeric``: ``spacing_pdf_numeric`` / ``spacing_cdf_numeric``, one
   adaptive vector quadrature each for a whole array of ``y``, for any
-  ``n``, any ``j`` and any real shape ``m > 0``.  The integrands are
-  evaluated in log space, and the quadrature starts at breakpoints from
-  the law of ``X_(j-1)`` (``_integrate_over_x``), so neither a large
-  coefficient nor mass crowded near 0 at large ``n`` is lost.  The
+  ``n``, any ``j`` and any real shape ``m > 0``.  Both are one integral
+  against the law of ``X_(j-1)`` (``_integrate_over_x``), evaluated in
+  log space and started at breakpoints from that law, so neither a
+  large coefficient nor mass crowded near 0 at large ``n`` is lost.  The
   quadrature (a globally adaptive Gauss-Kronrod 21 rule) and the cdf's
   monotone cubic interpolant are small numpy functions here, so
   ``scipy.special`` is the only scipy module the package imports.
@@ -215,15 +215,11 @@ def _exact_m(m, n=2, j=2) -> int:
     return int(m)
 
 
-def _log_binom(n, k):
-    return special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
-
-
 def _y2_log_coeffs(m: int) -> np.ndarray:
     # log of C(m-1, i) * G(2m - i - 1) / (G(m)^2 * 2^(2(m-1) - i)), i = 0..m-1
     i = np.arange(m, dtype=float)
     return (
-        _log_binom(m - 1.0, i)
+        special.gammaln(float(m)) - special.gammaln(i + 1.0) - special.gammaln(m - i)
         + special.gammaln(2.0 * m - i - 1.0)
         - 2.0 * special.gammaln(float(m))
         - (2.0 * (m - 1) - i) * LN2
@@ -389,70 +385,74 @@ def _adaptive_gk21(fn, points, tol):
     return total, total_err + rounding, status, len(heap)
 
 
-def _integrate_over_x(idx: SpacingIndex, params: GammaParams, integrand, tol, past=0.0):
-    """``int_0^U integrand(x, log f(x)) dx``, ``U = sigma Q(1 - 1e-14) + past``.
+def _integrate_over_x(idx: SpacingIndex, params: GammaParams, integrand, tol):
+    """``n int_0^U C(n-1, j-2) F(x)^(j-2) f(x) h(x) dx``, ``U = sigma Q(1 - 1e-14)``.
 
-    ``integrand`` maps a 1-D array of ``x`` and the matching log weights
-    to one row of values per ``x``; all columns are integrated on one
-    adaptive GK21 subdivision (``_adaptive_gk21``) until the error
-    estimate of the largest entry is below ``tol / 8``.  A stop on
-    rounding error counts as converged if that estimate, rounding
-    included, is still within ``tol``.  The subdivision starts at the
-    breakpoints ``x = sigma Q(v)``, with ``v`` the ``BREAK_LEVELS``
-    quantiles of ``Beta(j-1, n-j+2)``, the law of ``F(X_(j-1))`` (David
-    & Nagaraja, *Order Statistics*, 2.1): between them lies the mass of
+    ``n C(n-1, j-2) F(x)^(j-2) f(x) S(x)^c``, ``c = n-j+1``, is the
+    density of ``X_(j-1)``, and given ``X_(j-1) = x``, ``P(Y_j > y) =
+    (S(x+y)/S(x))^c`` (the Markov property of order statistics; David &
+    Nagaraja, *Order Statistics*, 2.2).  So both numeric routes are this
+    one integral, each with its own factor in ``y``: the cdf's ``h`` is
+    ``S(x)^c - S(x+y)^c``, the pdf's its y-derivative ``c f(x+y)
+    S(x+y)^(c-1)``.  ``integrand`` maps a 1-D array of ``t = x/sigma``
+    and the log of the matching weights ``C(n-1, j-2) F(x)^(j-2) f(x)
+    dx/du`` to one row of ``weight * h`` per ``t``.  All columns are
+    integrated on one adaptive GK21 subdivision (``_adaptive_gk21``)
+    until the error estimate of the largest entry is below ``tol / (8
+    n)``.  A stop on rounding error counts as converged if that
+    estimate, rounding included, is still within ``tol / n``.
+
+    The variable is ``u = t^a``, ``a = min(m, 1)``, whose weight stays
+    bounded where ``f`` is singular at 0 (``m < 1``).  The subdivision
+    starts at the breakpoints ``t = Q(v)``, with ``v`` the
+    ``BREAK_LEVELS`` quantiles of ``Beta(j-1, n-j+2)``, the law of
+    ``F(X_(j-1))`` (David & Nagaraja, 2.1): between them lies the mass of
     ``X_(j-1)``, which a single starting interval can miss at large
-    ``n``.  For ``m < 1`` the density ``f`` is singular at 0, so the
-    integral runs over ``u = (x/sigma)**m`` (breakpoints included) and
-    passes the log of the bounded weight ``f(x) dx / du = exp(-x/sigma)
-    / G(m+1)`` in place of ``log f(x)``.
+    ``n``.  ``log C(n-1, j-2)`` is an exact sum of the logs of ``k =
+    min(j-2, n-j+1)`` ratios.
     """
-    m, sigma = params.m, params.sigma
-    upper = sigma * float(gamma_quantile(1.0 - 1e-14, GammaParams(m, 1.0))) + past
-    levels = special.betaincinv(idx.j - 1, idx.n - idx.j + 2, BREAK_LEVELS)
-    breaks = sigma * special.gammaincinv(m, levels)
-    if m >= 1.0:
-        log_norm = math.lgamma(m) + math.log(sigma)
+    n, j, m = idx.n, idx.j, params.m
+    a, k = min(m, 1.0), min(j - 2, n - j + 1)
+    levels = special.betaincinv(j - 1, n - j + 2, BREAK_LEVELS)
+    ends = special.gammaincinv(m, np.append(levels, 1.0 - 1e-14)) ** a
+    upper = ends[-1]
+    log_coef = math.fsum(np.log(np.arange(n - k, n) / np.arange(1, k + 1)))
+    log_norm = math.lgamma(m) + math.log(a)
 
-        def fn(x):
-            t = x / sigma
-            return integrand(x, (m - 1.0) * np.log(t) - t - log_norm)
-    else:
-        lgm1 = math.lgamma(m + 1.0)
+    def fn(u):
+        t = u ** (1.0 / a)
+        log_w = (m / a - 1.0) * np.log(u) - t - log_norm + log_coef
+        if j > 2:
+            log_w = log_w + (j - 2) * np.log(special.gammainc(m, t))
+        return integrand(t, log_w)
 
-        def fn(u):
-            t = u ** (1.0 / m)
-            return integrand(sigma * t, -t - lgm1)
-
-        upper, breaks = (upper / sigma) ** m, (breaks / sigma) ** m
-    inner = np.unique(breaks[(breaks > 0.0) & (breaks < upper)])
+    inner = np.unique(ends[(ends > 0.0) & (ends < upper)])
     with np.errstate(divide="ignore"):  # log 0 = -inf where F or S underflows
         value, err, status, intervals = _adaptive_gk21(
-            fn, np.concatenate([[0.0], inner, [upper]]), tol)
-    if status != 0 and not (status == 2 and err <= tol):
+            fn, np.concatenate([[0.0], inner, [upper]]), tol / n)
+    if status != 0 and not (status == 2 and err <= tol / n):
         raise QuadratureError(
-            f"quadrature on [0, {upper:g}] did not converge to {tol:g} in "
+            f"quadrature on [0, {upper:g}] did not converge to {tol / n:g} in "
             f"{intervals} intervals (limit {SUBDIVISION_LIMIT}): {_STOPS[status]}"
         )
-    return value
+    return n * value
 
 
 def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     """Density of the spacing ``Y_j = X_(j) - X_(j-1)`` by adaptive quadrature.
 
-    Integrates
+    With ``S = 1 - F`` and ``c = n-j+1``, the y-derivative of the cdf
+    integral of ``spacing_cdf_numeric``:
 
-        n! / ((j-2)! (n-j)!) * F(x)^(j-2) f(x) f(x+y) [1 - F(x+y)]^(n-j)
+        n! / ((j-2)! (n-j)!) *
+            int F(x)^(j-2) f(x) f(x+y) S(x+y)^(n-j) dx,
 
-    over ``x in (0, U)`` with ``U = sigma * Q(1 - 1e-14) + max(y)``,
-    where ``f``/``F``/``Q`` are the ``Gamma(m, sigma)`` density, cdf and
-    quantile (for ``m < 1`` in the variable ``u = (x/sigma)**m``).  The
-    integrand is one ``exp`` of its log, with the binomial part
-    ``C(n-2, j-2)`` of the coefficient inside (``gammaln``) and the
-    factor ``n (n-1)`` outside, so neither the coefficient overflows nor
-    the powers of ``F`` and ``1 - F`` underflow at large ``n``.  All
-    entries of ``y`` share one adaptive subdivision of that range,
-    started at the breakpoints of ``_integrate_over_x``.  Works for any
+    where ``f``/``F`` are the ``Gamma(m, sigma)`` density and cdf.  Its
+    factor in ``y`` for ``_integrate_over_x``, which holds the range,
+    the variable and the weight in ``x``, is ``c f(x+y) S(x+y)^(c-1)``;
+    the product is one ``exp`` of its log, so neither the coefficient
+    overflows nor the powers of ``F`` and ``S`` underflow at large ``n``.
+    All entries of ``y`` share one adaptive subdivision.  Works for any
     real shape ``m > 0``, any ``n`` and any ``j``, except at ``y = 0``
     for ``m <= 1/2``, where the density is infinite; at ``y = 0`` for
     ``1/2 < m`` below about 0.6 the singular integrand needs more than
@@ -467,10 +467,7 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
         returns a float, an array an array of the same length.
     tol : float
         Absolute error budget, a bound on the largest error over ``y``
-        on the quadrature's own estimate.  At ``n`` in the thousands the
-        density is of order ``n``, and the log coefficient from
-        ``gammaln`` carries a relative rounding of up to about 1e-11,
-        which that estimate does not see.
+        on the quadrature's own estimate.
 
     Raises
     ------
@@ -483,24 +480,18 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     out = np.zeros_like(arr)
     live = arr >= 0
     if np.any(live):
-        ys = arr[live]
-        n, j = idx.n, idx.j
-        m, sigma = params.m, params.sigma
-        log_coef = float(_log_binom(n - 2, j - 2)) - math.lgamma(m) - math.log(sigma)
+        m, sigma, c = params.m, params.sigma, idx.n - idx.j + 1
+        z = arr[live] / sigma
+        log_c = math.log(c) - math.lgamma(m) - math.log(sigma)
 
-        def integrand(x, log_w):
-            row = log_coef + log_w
-            if j > 2:
-                row = row + (j - 2) * np.log(special.gammainc(m, x / sigma))
-            t = (x[:, None] + ys) / sigma
-            log_f = row[:, None] - t + (m - 1.0) * np.log(t)
-            if j < n:
-                log_f += (n - j) * np.log(special.gammaincc(m, t))
+        def integrand(t, log_w):
+            s = t[:, None] + z
+            log_f = (log_w + log_c)[:, None] - s + (m - 1.0) * np.log(s)
+            if c > 1:
+                log_f += (c - 1) * np.log(special.gammaincc(m, s))
             return np.exp(log_f)
 
-        scale = n * (n - 1.0)
-        value = _integrate_over_x(idx, params, integrand, tol / scale, past=ys.max())
-        out[live] = np.maximum(0.0, scale * value)
+        out[live] = np.maximum(0.0, _integrate_over_x(idx, params, integrand, tol))
     return _maybe_scalar(out, scalar)
 
 
@@ -513,38 +504,29 @@ def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     With ``S = 1 - F`` and ``c = n-j+1``:
 
         P(Y_j <= y) = n! / ((j-2)! c!) *
-            int F(x)^(j-2) f(x) S(x)^c [1 - (S(x+y) / S(x))^c] dx.
+            int F(x)^(j-2) f(x) [S(x)^c - S(x+y)^c] dx.
 
-    The bracket is ``-expm1(c (log S(x+y) - log S(x)))``, which does not
-    cancel at small ``y`` or at large ``x``, and the rest is one ``exp``
-    of its log with ``C(n-1, j-2)`` inside and the factor ``n`` outside,
-    as in ``spacing_pdf_numeric``.  ``x`` runs over ``(0, U)``,
-    ``U = sigma * Q(1 - 1e-14)``, on the same breakpoints: ``y`` may be
-    a float or a 1-D array, all entries share one adaptive subdivision,
-    and ``tol`` bounds the largest error over ``y``.  The result is 0 for
-    ``y <= 0`` and clamped to ``[0, 1]``.
+    The bracket, the factor in ``y`` of ``_integrate_over_x``, is
+    ``S(x)^c * -expm1(c (log S(x+y) - log S(x)))``, which does not
+    cancel at small ``y`` or at large ``x``.  ``y`` may be a float or a
+    1-D array, all entries share one adaptive subdivision, and ``tol``
+    bounds the largest error over ``y``.  The result is 0 for ``y <= 0``
+    and clamped to ``[0, 1]``.
     """
     arr, scalar = _checked(y, tol)
     out = np.zeros_like(arr)
     live = arr > 0
     if np.any(live):
-        ys = arr[live]
-        n, j = idx.n, idx.j
-        c = n - j + 1
-        m, sigma = params.m, params.sigma
-        log_coef = float(_log_binom(n - 1, j - 2))
+        m, c = params.m, idx.n - idx.j + 1
+        z = arr[live] / params.sigma
 
-        def integrand(x, log_w):
-            log_sx = np.log(special.gammaincc(m, x / sigma))
-            row = log_coef + log_w + c * log_sx
-            if j > 2:
-                row = row + (j - 2) * np.log(special.gammainc(m, x / sigma))
+        def integrand(t, log_w):
+            log_st = np.log(special.gammaincc(m, t))
             # log S(x+y)/S(x) <= 0, but it rounds above 0 at y of an ulp
-            log_ratio = np.log(special.gammaincc(m, (x[:, None] + ys) / sigma)) - log_sx[:, None]
-            return np.exp(row)[:, None] * -np.expm1(c * np.minimum(log_ratio, 0.0))
+            log_ratio = np.log(special.gammaincc(m, t[:, None] + z)) - log_st[:, None]
+            return np.exp(log_w + c * log_st)[:, None] * -np.expm1(c * np.minimum(log_ratio, 0.0))
 
-        value = _integrate_over_x(idx, params, integrand, tol / n)
-        out[live] = np.clip(n * value, 0.0, 1.0)
+        out[live] = np.clip(_integrate_over_x(idx, params, integrand, tol), 0.0, 1.0)
     return _maybe_scalar(out, scalar)
 
 

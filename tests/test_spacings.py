@@ -559,15 +559,58 @@ def test_numeric_routes_give_the_exponential_law_at_large_n(n, j):
     # at m = 1, Y_j ~ Exp(n-j+1).  From a single starting interval every
     # GK21 node missed the mass of X_(j-1) near 0, so the routes returned
     # 0, and the mid-rank coefficient overflowed a float.  The pdf bound
-    # is relative: log C(n-2, j-2) from gammaln carries up to about 1e-11
-    # of relative rounding, which at values near n exceeds 1e-9
+    # is relative, since values near n exceed 1e-9.  log C(n-1, j-2) is
+    # an exact sum; what rounding remains, about 1e-12, comes from the
+    # (c-1) log S(t) term
     rate = n - j + 1
     idx, params = SpacingIndex(n, j), GammaParams(1.0)
     ys = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 10.0]) / rate
     pdf = spacing_pdf_numeric(idx, params, ys)
     cdf = spacing_cdf_numeric(idx, params, ys)
-    assert np.max(np.abs(pdf / (rate * np.exp(-rate * ys)) - 1.0)) < 1e-10
-    assert np.max(np.abs(cdf + np.expm1(-rate * ys))) < 1e-10
+    assert np.max(np.abs(pdf / (rate * np.exp(-rate * ys)) - 1.0)) < 5e-12
+    assert np.max(np.abs(cdf + np.expm1(-rate * ys))) < 5e-12
+
+
+@pytest.mark.parametrize("m", [2.5, 0.3])
+def test_numeric_routes_integrate_over_one_range(m, monkeypatch):
+    # the mass of the integrand in x lies where the law of X_(j-1) puts
+    # it, whatever y is: the pdf near 0, the pdf far in the tail and the
+    # cdf start from the same points
+    seen = []
+
+    def record(fn, points, tol):
+        seen.append(points)
+        return adaptive(fn, points, tol)
+
+    adaptive = spacings._adaptive_gk21
+    monkeypatch.setattr(spacings, "_adaptive_gk21", record)
+    idx, params = SpacingIndex(5, 4), GammaParams(m)
+    spacing_pdf_numeric(idx, params, np.linspace(0.01, 0.1, 10))
+    spacing_pdf_numeric(idx, params, np.linspace(0.01, 50.0, 10))
+    spacing_cdf_numeric(idx, params, np.linspace(0.01, 50.0, 10))
+    assert len(seen) == 3
+    assert np.array_equal(seen[0], seen[1]) and np.array_equal(seen[0], seen[2])
+
+
+def test_benchmark_quadratures_keep_their_interval_count(monkeypatch):
+    # the density workload's 2001-point pdf and the validate workload's
+    # cdf table each take 10 GK21 intervals in 2 passes; a timing bound
+    # of a quarter, on a noisy host, would not see a few more
+    passes = []
+
+    def count(fn, a, b):
+        passes.append(a.size)
+        return gk21(fn, a, b)
+
+    gk21 = spacings._gk21
+    monkeypatch.setattr(spacings, "_gk21", count)
+    idx, params = SpacingIndex(4, 3), GammaParams(2.5)
+    ymax = math.ceil(float(gamma_quantile(0.9999, params)) * 10) / 10
+    spacing_pdf_numeric(idx, params, np.linspace(0.0, ymax, 2001))
+    assert len(passes) <= 2 and sum(passes) <= 10, passes
+    passes.clear()
+    spacing_law(4, 3, 2.5).cdf(1.0)  # builds the CDF_NODES table
+    assert len(passes) <= 2 and sum(passes) <= 10, passes
 
 
 def test_spacing_law_cdf_raises_when_its_table_misses_mass(monkeypatch):
