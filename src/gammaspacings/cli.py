@@ -21,7 +21,7 @@ option syntax, the ``--j``/``--stat``/``--k`` combination and DATAFILE.
 Every file, manifests included, is rendered and written by ``_write``,
 in one call per command, so a run leaves all of its files or none:
 each command only assembles its comment dict, columns and JSON document.
-A manifest's ``parameters`` are the declared options (``_params``), so
+A manifest's ``parameters`` are the declared parameters (``_params``), so
 typed order cannot change them; ``--workers`` changes no file and no record.
 """
 
@@ -130,13 +130,13 @@ def _write(*files):
 
 
 def _params(**resolved):
-    """The running command's options by long flag (``--format`` -> ``format``)
+    """The running command's parameters by long flag (``--format`` -> ``format``)
     in declaration order, ``resolved`` for values it computes, no ``--workers``."""
     ctx = click.get_current_context()
     params = {}
     for option in ctx.command.params:
         flag = option.opts[0].removeprefix("--")
-        if isinstance(option, click.Option) and flag != "workers":
+        if flag != "workers":
             params[flag] = resolved.get(flag, ctx.params[option.name])
     return params
 
@@ -330,7 +330,8 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--output", type=click.Path(), default="critical_values")
 def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output):
-    """Tabulate empirical critical values of a statistic's null."""
+    """Tabulate the critical values test and power decide by: a statistic is
+    rejected iff it exceeds one (inf where alpha < 1/(1 + reps))."""
     alphas = _parse_float_list(alpha_list, "--alpha")
     cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     sample = simulate_statistic(cfg, stat, workers=workers)
@@ -365,9 +366,9 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     DATAFILE is UTF-8 text with one observation per line, finite and > 0
     as the Gamma null requires (blank lines and '#' comments are skipped).
     The sample is discordant when the add-one p-value is at most alpha
-    (Phipson & Smyth 2010); the reported critical value is the null's
-    1 - alpha quantile.  Exits 1 when the sample is discordant, 0 when
-    it is not, 2 on errors.
+    (Phipson & Smyth 2010), that is when the statistic exceeds the
+    reported critical value (inf when alpha < 1/(1 + reps)).  Exits 1
+    when the sample is discordant, 0 when it is not, 2 on errors.
     """
     try:
         text = Path(datafile).read_text(encoding="utf-8")
@@ -407,9 +408,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     }
     click.echo(json.dumps(report, indent=2))
     if output is not None:
-        _write(_File(f"{output}.json", doc=report),
-               _manifest(output, {**report["config"], "alpha": alpha,
-                                  "datafile": str(datafile), "output": output}))
+        _write(_File(f"{output}.json", doc=report), _manifest(output, {**_params(), "n": n}))
     ctx.exit(1 if discordant else 0)
 
 

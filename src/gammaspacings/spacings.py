@@ -11,7 +11,10 @@ pdf and a cdf:
   any array is built.
 * ``numeric``: ``spacing_pdf_numeric`` / ``spacing_cdf_numeric``, one
   adaptive vector quadrature each for a whole array of ``y``, for any
-  ``n``, any ``j`` and any real shape ``m > 0``.  Both are one integral
+  ``n``, any ``j`` and real shapes ``m >= 0.03``.  Smaller shapes were
+  measured only at ``j = 2``: the cdf raises ``QuadratureError`` at
+  ``n = 2`` for ``m <= 0.005``, at ``n`` = 10 to 1000 for ``m = 0.01``
+  and at ``n`` = 10000 and 20000 for ``m = 0.02``.  Both are one integral
   against the law of ``X_(j-1)`` (``_integrate_over_x``), evaluated in
   log space and started at breakpoints from that law, so neither a
   large coefficient nor mass crowded near 0 at large ``n`` is lost.  The
@@ -452,8 +455,9 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     the variable and the weight in ``x``, is ``c f(x+y) S(x+y)^(c-1)``;
     the product is one ``exp`` of its log, so neither the coefficient
     overflows nor the powers of ``F`` and ``S`` underflow at large ``n``.
-    All entries of ``y`` share one adaptive subdivision.  Works for any
-    real shape ``m > 0``, any ``n`` and any ``j``, except at ``y = 0``
+    All entries of ``y`` share one adaptive subdivision.  Works for
+    shapes ``m >= 0.03`` (below, see the module docstring), any ``n``
+    and any ``j``, except at ``y = 0``
     for ``m <= 1/2``, where the density is infinite; at ``y = 0`` for
     ``1/2 < m`` below about 0.6 the singular integrand needs more than
     ``SUBDIVISION_LIMIT`` intervals (QuadratureError).

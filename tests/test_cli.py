@@ -381,6 +381,18 @@ def test_validate_keeps_the_exponential_law_at_large_n(runner):
         assert row["truth_p"] >= 0.01
 
 
+def test_validate_below_the_measured_shapes_exits_two(runner):
+    # at m = 0.001 the numeric cdf of Y_2 does not converge; the run must
+    # say so and write no file, not pass an unchecked reference on
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["validate", "--m", "0.001", "--n", "2", "--j", "2",
+                                      "--reps", "2000", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "did not converge" in result.output
+        assert "Traceback" not in result.output
+        assert list(Path(".").iterdir()) == []
+
+
 def test_validate_usage_validation(runner):
     assert runner.invoke(main, ["validate", "--m", "1,x", "--seed", "0"]).exit_code == 2
     assert runner.invoke(main, ["validate", "--alpha", "1.5", "--seed", "0"]).exit_code == 2
@@ -401,6 +413,23 @@ def test_critical_values_table(runner):
         crits = [c for _, c in rows]
         assert crits[0] >= crits[1] >= crits[2]  # upper tail shrinks with alpha
         assert all(0 < c <= 1 for c in crits)
+
+
+def test_critical_values_below_the_smallest_p_value_are_infinite(runner):
+    # with 10 null values no p-value is below 1/11, so at 0.01 and 0.05 no
+    # statistic can exceed the critical value
+    args = ["critical-values", "--n", "5", "--m", "1", "--k", "1", "--reps", "10",
+            "--seed", "3", "--alpha", "0.01,0.05,0.1"]
+    expected = [math.inf, math.inf, 0.5462768461123512]
+    with runner.isolated_filesystem():
+        assert invoke(runner, args).exit_code == 0
+        rows = [ln.split(",") for ln in Path("critical_values.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert [float(c) for _, c in rows] == expected
+        assert invoke(runner, args + ["--format", "json"]).exit_code == 0
+        text = Path("critical_values.json").read_text()
+        assert text.count("Infinity") == 2
+        assert [row["critical_value"] for row in json.loads(text)["rows"]] == expected
 
 
 def test_discordancy_test_flags_planted_outlier(runner):
@@ -439,9 +468,10 @@ def _data_with_z1(t):
     return "1\n2\n3\n4\n" + repr(4.0 + 9.0 * t / (1.0 - t)) + "\n"
 
 
-def test_discordancy_decision_follows_the_p_value(runner):
-    # an observation between the 95th and 96th of 100 null values exceeds
-    # the 0.05 critical value, but its add-one p-value is 6/101 > 0.05
+def test_discordancy_decision_agrees_with_its_critical_value(runner):
+    # an observation between the 95th and 96th of 100 null values has the
+    # add-one p-value 6/101 > 0.05, and it stays below the reported 0.05
+    # critical value, the 96th value
     null = simulate_statistic(SimulationConfig(n=5, m=1.0, reps=100, seed=7, k=1), "zk")
     observed = float(null.values[94:96].mean())
     with runner.isolated_filesystem():
@@ -449,7 +479,7 @@ def test_discordancy_decision_follows_the_p_value(runner):
         result = runner.invoke(main, ["test", "data.txt", "--k", "1", "--m", "1",
                                       "--reps", "100", "--seed", "7"])
         report = json.loads(result.output)
-        assert report["statistic"] > report["critical_value"] == null.values[94]
+        assert report["statistic"] < report["critical_value"] == null.values[95]
         assert report["p_value"] == 6 / 101
         assert report["decision"] == "not discordant" and result.exit_code == 0
 
@@ -464,6 +494,7 @@ def test_discordancy_decision_holds_iff_p_at_most_alpha(t, alpha, seed):
                                            "--seed", str(seed)])
         report = json.loads(result.output)
         discordant = report["p_value"] <= alpha
+        assert (report["statistic"] > report["critical_value"]) == discordant
         assert report["decision"] == ("discordant" if discordant else "not discordant")
         assert result.exit_code == int(discordant)
 

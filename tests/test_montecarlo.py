@@ -225,10 +225,11 @@ def test_spacing_runs_keep_their_degenerate_rows():
 
 
 def test_critical_value_index_convention():
+    # the ceil((1 - alpha)(R + 1))-th smallest of R = 10 values
     sample = toy_sample(np.arange(1, 11) / 10.0)
-    assert critical_value(sample, 0.1) == 0.9
+    assert critical_value(sample, 0.1) == 1.0  # p = 1/11 <= 0.1 only above the max
     assert critical_value(sample, 0.999) == 0.1  # alpha -> 1 gives first value
-    assert critical_value(sample, 0.05) == 1.0
+    assert critical_value(sample, 0.05) == math.inf  # below 1/11 nothing rejects
     with pytest.raises(ValueError):
         critical_value(sample, 0.0)
     with pytest.raises(ValueError):
@@ -304,6 +305,7 @@ def test_simulate_power_rejects_iff_p_at_most_alpha(alpha, seed, reps, which):
     null = simulate_statistic(cfg, which)
     drawn = simulate_statistic(replace(cfg, seed=(seed + 1) % 2**64), which).values
     expected = np.mean([p_value(null, v) <= alpha for v in drawn])
+    assert expected == np.mean(drawn > critical_value(null, alpha))
     assert simulate_power(cfg, which, [1.0], alpha) == [expected]
 
 
