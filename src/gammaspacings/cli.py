@@ -68,6 +68,161 @@ CHUNK = 4096  # CSV rows rendered per write
 _workers = click.option("--workers", type=int, default=1,
                         help="Worker threads; results are identical for any count.")
 
+_CELL = 24  # bytes of the longest float repr, "-1.2345678901234567e-100"
+_FRACTION = (1 << 52) - 1  # the stored mantissa bits of a float64
+_BITS = 50  # remainders are counted in units of 2^-50 (the shift g below is <= 47)
+_POW5 = np.array([5**i for i in range(22)], dtype=np.uint64)
+
+
+def _quads():
+    """"0000" to "9999" as four ASCII bytes (a uint32) each, then again
+    with trailing zeros as NUL bytes ("1200" as "12")."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
+    trailing = np.logical_and.accumulate(quads[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    return np.concatenate([quads, quads * ~trailing]).view(np.uint32).ravel()
+
+
+_QUADS = _quads()
+
+
+def _half_even(q, t, unit):
+    """q plus the remainder t (in ``unit`` steps) rounded half to even."""
+    return q + (2 * t + (q & 1) > unit)
+
+
+def _scaled(a):
+    """``a 10^s`` in exact integers, for positive normal float64s ``a``
+    and ``s = 16 - e10``, where ``e10 = floor(log10 a)`` but for rounding
+    next to a power of ten: ``(e10, q, r, ulp)``.
+
+    ``q`` is the floor, 17 digits long when ``e10`` is right; ``r`` the
+    remainder in units of ``2^-_BITS``, and ``ulp`` the spacing of
+    floats at ``a``, scaled alike, less 1 where the mantissa is odd.
+    ``a 10^s = m 5^s / 2^g`` for the 53-bit mantissa ``m``; two uint64
+    limbs hold the product ``m 5^s`` exactly.
+    """
+    bits = a.view(np.uint64)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    s = 16 - e10
+    g = 1075 - (bits >> 52).astype(np.int64) - s
+    lift = np.maximum(1 - g, 0).astype(np.uint64)  # keeps g >= 1 up to 2^53
+    g = g.astype(np.uint64) + lift
+    m = (bits & _FRACTION | 1 << 52) << lift
+    p = _POW5[s]
+    m1, m0, p1, p0 = m >> 32, m & 0xFFFFFFFF, p >> 32, p & 0xFFFFFFFF
+    mid = m1 * p0 + m0 * p1
+    lo = m0 * p0
+    low = lo + (mid << 32)
+    q = (m1 * p1 + (mid >> 32) + (low < lo)) << (64 - g) | low >> g
+    r = low << (64 - g) >> (64 - _BITS)
+    return e10, q, r, (p << (lift + _BITS - g)) - (bits & 1)
+
+
+def _shortest(a):
+    """``repr``'s digits of positive normal float64s that are not powers of two.
+
+    Returns ``(c, e10, ok)``: the digits of the 17-digit integer ``c``
+    without its trailing zeros are those of ``repr(a)``, with ``a``
+    (rounded) in ``[10^e10, 10^(e10+1))``.  ``ok`` is False where log10
+    put ``a`` in the wrong decade.
+
+    The candidates are ``a`` rounded half to even to 15, 16 and 17
+    significant digits.  One round-trips when it lies within half an ulp
+    of ``a``, the ends included when the mantissa is even; the shortest
+    one that does is the shortest round-trip string (Adams 2018, Ryu),
+    which ``repr`` prints (Gay 1990).  17 digits always round-trip.  A
+    double has 15 exact digits, so a shorter string that round-trips is
+    the 15-digit one with trailing zeros.  The rounding interval is
+    symmetric off powers of two, so the nearest candidate of a length
+    round-trips whenever any of that length does.  Every decision is an
+    exact integer comparison.
+    """
+    e10, q, r, ulp = _scaled(a)
+    q16, q15 = q // 10, q // 100
+    t16 = (q - q16 * 10 << _BITS) + r
+    t15 = (q - q15 * 100 << _BITS) + r
+    fits15 = 2 * np.minimum(t15, (100 << _BITS) - t15) <= ulp
+    fits16 = 2 * np.minimum(t16, (10 << _BITS) - t16) <= ulp
+    c = np.where(fits15, 100 * _half_even(q15, t15, 100 << _BITS),
+                 np.where(fits16, 10 * _half_even(q16, t16, 10 << _BITS),
+                          _half_even(q, r, 1 << _BITS)))
+    carry = c == 10**17  # rounded up to the next decade
+    c[carry] = 10**16
+    return c.astype(np.int64), e10 + carry, (q >= 10**16) & (q < 10**17)
+
+
+def _digits(c):
+    """The 17 ASCII digits of each ``c``, trailing zeros as NUL: (n, 17) uint8."""
+    quads = np.empty((len(c), 5), np.uint32)
+    tail = np.full(len(c), 10000)  # the NUL-tailed table while all lower digits are 0
+    for i in range(4, 0, -1):
+        q = c // 10000
+        v, c = c - q * 10000, q
+        quads[:, i] = np.take(_QUADS, v + tail)
+        tail *= v == 0
+    quads[:, 0] = np.take(_QUADS, c)
+    return quads.view(np.uint8)[:, 3:]
+
+
+def _place(cell, digits, e10):
+    """Lay out positional reprs of one decade: ``digits`` into the rows of ``cell``."""
+    if e10 >= 0:
+        cell[:, :e10 + 1] = np.maximum(digits[:, :e10 + 1], ord("0"))
+        cell[:, e10 + 1] = ord(".")
+        cell[:, e10 + 2] = np.maximum(digits[:, e10 + 1], ord("0"))
+        cell[:, e10 + 3:18] = digits[:, e10 + 2:]
+    else:
+        cell[:, :1 - e10] = ord("0")
+        cell[:, 1] = ord(".")
+        cell[:, 1 - e10:18 - e10] = digits
+    return cell
+
+
+def _render(block, x):
+    """Write ``repr`` of each float64 of ``x`` into the rows of ``block``:
+    a sign byte, then up to ``_CELL`` bytes, NUL where there is none.
+
+    ``_shortest`` finds the digits where ``repr`` is positional, for
+    ``1e-4 <= |x| < 2^53``, but at powers of two; rows are then laid out
+    by decade, the largest group over every row and the others over
+    their own.  ``repr`` renders the rest: 0, -0, non-finite values,
+    subnormals, powers of two, other magnitudes and the values next to a
+    power of ten that log10 puts in the wrong decade.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 2.0**53) & (a.view(np.uint64) & _FRACTION != 0)
+    c, e10, ok = _shortest(np.where(fast, a, 1.5))
+    fast &= ok
+    block[:, 0] = (np.signbit(x) & fast) * ord("-")
+    cell, digits = block[:, 1:], _digits(c)
+    group = np.where(fast, e10 + 4, 20)  # decades 1e-4 to 1e15, then repr's rows
+    sizes = np.bincount(group, minlength=21)[:20]
+    for i, k in enumerate(np.argsort(-sizes, kind="stable")[:np.count_nonzero(sizes)]):
+        if i == 0:
+            _place(cell, digits, k - 4)
+        else:
+            rows = np.flatnonzero(group == k)
+            cell[rows] = _place(np.zeros((len(rows), _CELL), np.uint8), digits[rows], k - 4)
+    rows = np.flatnonzero(group == 20)
+    if len(rows):
+        text = list(map(repr, x[rows].tolist()))
+        cell[rows] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+
+
+def _csv_rows(cols):
+    """The CSV rows of equal-length float64 columns as ASCII bytes (a
+    uint8 array): ``repr`` of each value, cells joined by ``,``, rows
+    ended by a newline."""
+    width = _CELL + 2  # a sign byte, the cell, a separator
+    text = np.zeros((len(cols[0]), len(cols) * width), np.uint8)
+    for i, col in enumerate(cols):
+        _render(text[:, i * width:(i + 1) * width - 1], col)
+    text[:, width - 1::width] = ord(",")
+    text[:, -1] = ord("\n")
+    flat = text.ravel()
+    return np.compress(flat != 0, flat)
+
 
 class _File(NamedTuple):
     """One output file of a command: CSV from ``comments`` and ``columns``,
@@ -84,8 +239,10 @@ def _write(*files):
     """Write a command's whole file set, or none of it, and echo the names.
 
     ``csv``: ``# key: value`` lines from ``comments``, a header of the
-    ``columns`` names, then the rows, floats as shortest round-trip
-    ``repr``, rendered and written ``CHUNK`` rows at a time.  ``json``:
+    ``columns`` names, then the rows, ``CHUNK`` at a time, each block
+    rendered by ``_csv_rows`` in one vectorised pass, byte-identical to
+    ``repr`` (the shortest round-trip form); columns of unequal length
+    raise ``ValueError``.  ``json``:
     ``doc`` indented by 2, numpy arrays as lists, written by
     ``json.dump`` piece by piece as it is encoded.  Neither format holds
     the whole text in memory, so the writer's memory does not grow with
@@ -103,15 +260,18 @@ def _write(*files):
             target = os.path.realpath(path)
             tmp = f"{target}.{os.getpid()}.tmp"
             staged.append((path, target, tmp))
-            with open(tmp, "w", encoding="utf-8") as out:
-                if fmt == "csv":
-                    out.writelines(f"# {key}: {value}\n" for key, value in comments.items())
-                    out.write(",".join(columns) + "\n")
-                    cols = [np.asarray(col, dtype=float) for col in columns.values()]
-                    for lo in range(0, min(map(len, cols)), CHUNK):
-                        cells = [map(repr, col[lo:lo + CHUNK].tolist()) for col in cols]
-                        out.write("\n".join(map(",".join, zip(*cells))) + "\n")
-                else:
+            if fmt == "csv":
+                cols = [np.asarray(col, dtype=float) for col in columns.values()]
+                if len({len(col) for col in cols}) > 1:
+                    raise ValueError(f"{path}: CSV columns differ in length: "
+                                     f"{dict(zip(columns, map(len, cols)))}")
+                with open(tmp, "wb") as out:
+                    out.write("".join([*(f"# {key}: {value}\n" for key, value in comments.items()),
+                                       ",".join(columns) + "\n"]).encode())
+                    for lo in range(0, len(cols[0]), CHUNK):
+                        out.write(_csv_rows([col[lo:lo + CHUNK] for col in cols]))
+            else:
+                with open(tmp, "w", encoding="utf-8") as out:
                     json.dump(doc, out, indent=2, default=np.ndarray.tolist)
                     out.write("\n")
         for path, target, _ in staged:
@@ -291,6 +451,9 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
         cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed)
         truth, claim = spacing_law(n, j, m), spacing_law(n, j, m, "claimed")
         sample = simulate_spacing(cfg, j, workers=workers)
+        if not sample.values.any():
+            raise ValueError(f"every simulated Y_{j} is 0 at m={m:g}, n={n}: the Gamma "
+                             "draws underflow, so a KS test cannot judge a law on them")
         ks_truth = ks_test(sample.values, truth.cdf)
         ks_claim = ks_test(sample.values, claim.cdf)
         rows.append({

@@ -393,6 +393,23 @@ def test_validate_below_the_measured_shapes_exits_two(runner):
         assert list(Path(".").iterdir()) == []
 
 
+def test_validate_on_an_all_zero_sample_exits_two(runner):
+    # Gamma(0.001) draws underflow, so every simulated Y_2 is 0; the KS
+    # test must not reject the true law on them (it read truth_p 0, exit 0)
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["validate", "--m", "0.001", "--n", "100", "--j", "2",
+                                      "--reps", "2000", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "Error: every simulated Y_2 is 0 at m=0.001, n=100" in result.output
+        assert "Traceback" not in result.output and "truth" not in result.output
+        assert list(Path(".").iterdir()) == []
+        # simulate keeps the same zero spacings
+        result = runner.invoke(main, ["simulate", "--m", "0.001", "--n", "100", "--j", "2",
+                                      "--reps", "2000", "--seed", "1", "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(Path("simulate.json").read_text())["values"] == [0.0] * 2000
+
+
 def test_validate_usage_validation(runner):
     assert runner.invoke(main, ["validate", "--m", "1,x", "--seed", "0"]).exit_code == 2
     assert runner.invoke(main, ["validate", "--alpha", "1.5", "--seed", "0"]).exit_code == 2
@@ -767,6 +784,52 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path):
     # the rest is the ``tolist()`` of the array that ``json`` encodes
     assert json_peak < 12.0, f"JSON writer peaked at {json_peak:.2f} MB"
     assert json.loads((tmp_path / "x.json").read_text())["values"] == values.tolist()
+
+
+def test_csv_columns_of_unequal_length_raise(tmp_path):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=r"CSV columns differ in length: \{'a': 3, 'b': 2\}"):
+        cli._write(cli._File(path, "csv", comments={}, columns={"a": [1.0, 2.0, 3.0],
+                                                                "b": [1.0, 2.0]}))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _csv_text(*columns):
+    return cli._csv_rows([np.asarray(col, dtype=float) for col in columns]).tobytes().decode()
+
+
+def _repr_rows(*columns):
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(1e-4, 2.0**53, exclude_max=True), min_size=1, max_size=40))
+def test_csv_cells_are_repr_of_any_finite_float(values):
+    assert _csv_text(values) == _repr_rows(values)
+
+
+def test_csv_cells_are_repr_at_the_rounding_edges():
+    ties = 8 + np.arange(1, 2**16) / 2**16  # every 17th digit a 5: ties at 16 digits
+    decades = [np.nextafter(10.0**e, side) for e in range(-6, 18) for side in (0, np.inf)]
+    edges = [*(2.0**k for k in range(-20, 60)), *(10.0**e for e in range(-6, 18)),
+             2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e16, 5e-324, 2.2250738585072014e-308,
+             0.0, math.inf, math.nan, 0.1, 0.3, 1 / 3, 123456.0, 1e15 + 0.5]
+    values = np.concatenate([ties, decades, edges])
+    values = np.concatenate([values, -values])
+    assert _csv_text(values) == _repr_rows(values)
+    columns = (values, values[::-1] / 3, np.round(values * 1e3) / 7)
+    assert _csv_text(*columns) == _repr_rows(*columns)
+
+
+def test_csv_renderer_calls_repr_only_outside_its_range(monkeypatch):
+    called = []
+    monkeypatch.setattr(cli, "repr", lambda v: called.append(v) or repr(v), raising=False)
+    sample = np.random.default_rng(1).gamma(2.0, size=cli.CHUNK)
+    assert _csv_text(sample) == _repr_rows(sample) and called == []
+    outside = [0.0, -0.0, math.inf, math.nan, 5e-324, 2.0, 1e16, 1e-5, -1e300]
+    assert _csv_text(outside + [1.5]) == _repr_rows(outside + [1.5])
+    assert list(map(repr, called)) == list(map(repr, outside))
 
 
 @pytest.mark.parametrize("command", [
