@@ -71,12 +71,12 @@ _workers = click.option("--workers", type=int, default=1,
 _CELL = 24  # bytes of the longest float repr, "-1.2345678901234567e-100"
 _FRACTION = (1 << 52) - 1  # the stored mantissa bits of a float64
 _BITS = 50  # remainders are counted in units of 2^-50 (the shift g below is <= 47)
-_POW5 = np.array([5**i for i in range(22)], dtype=np.uint64)
+_POW5 = np.array([5**i for i in range(22)], dtype=np.uint64)  # s = 16 - e10 <= 21
 
 
 def _quads():
-    """"0000" to "9999" as four ASCII bytes (a uint32) each, then again
-    with trailing zeros as NUL bytes ("1200" as "12")."""
+    """Each of 0000 to 9999 as four ASCII digits in a uint32, then each
+    again with its trailing zeros as NUL bytes (1200 as "12")."""
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
     trailing = np.logical_and.accumulate(quads[:, ::-1] == ord("0"), axis=1)[:, ::-1]

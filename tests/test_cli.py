@@ -794,19 +794,19 @@ def test_csv_columns_of_unequal_length_raise(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _csv_text(*columns):
-    return cli._csv_rows([np.asarray(col, dtype=float) for col in columns]).tobytes().decode()
-
-
-def _repr_rows(*columns):
-    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
+def _rows_unlike_repr(*columns):
+    # (rendered row, repr's row) wherever they differ; short to report on failure
+    text = cli._csv_rows([np.asarray(col, dtype=float) for col in columns]).tobytes().decode()
+    rows = [",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns)]
+    assert text.count("\n") == len(rows)
+    return [(got, want) for got, want in zip(text.splitlines(keepends=True), rows) if got != want]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
                 | st.floats(1e-4, 2.0**53, exclude_max=True), min_size=1, max_size=40))
 def test_csv_cells_are_repr_of_any_finite_float(values):
-    assert _csv_text(values) == _repr_rows(values)
+    assert _rows_unlike_repr(values) == []
 
 
 def test_csv_cells_are_repr_at_the_rounding_edges():
@@ -817,18 +817,18 @@ def test_csv_cells_are_repr_at_the_rounding_edges():
              0.0, math.inf, math.nan, 0.1, 0.3, 1 / 3, 123456.0, 1e15 + 0.5]
     values = np.concatenate([ties, decades, edges])
     values = np.concatenate([values, -values])
-    assert _csv_text(values) == _repr_rows(values)
+    assert _rows_unlike_repr(values) == []
     columns = (values, values[::-1] / 3, np.round(values * 1e3) / 7)
-    assert _csv_text(*columns) == _repr_rows(*columns)
+    assert _rows_unlike_repr(*columns) == []
 
 
 def test_csv_renderer_calls_repr_only_outside_its_range(monkeypatch):
     called = []
     monkeypatch.setattr(cli, "repr", lambda v: called.append(v) or repr(v), raising=False)
     sample = np.random.default_rng(1).gamma(2.0, size=cli.CHUNK)
-    assert _csv_text(sample) == _repr_rows(sample) and called == []
+    assert _rows_unlike_repr(sample) == [] and called == []
     outside = [0.0, -0.0, math.inf, math.nan, 5e-324, 2.0, 1e16, 1e-5, -1e300]
-    assert _csv_text(outside + [1.5]) == _repr_rows(outside + [1.5])
+    assert _rows_unlike_repr(outside + [1.5]) == []
     assert list(map(repr, called)) == list(map(repr, outside))
 
 
