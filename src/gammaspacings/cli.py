@@ -32,6 +32,7 @@ import errno
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -66,7 +67,9 @@ class CliError(click.ClickException):
 
 CHUNK = 4096  # CSV rows rendered per write
 _workers = click.option("--workers", type=int, default=1,
-                        help="Worker threads; results are identical for any count.")
+                        help="Monte Carlo block threads; results are identical for any "
+                             "count.  validate builds its reference cdf table on one "
+                             "more thread, outside this count.")
 
 _CELL = 24  # bytes of the longest float repr, "-1.2345678901234567e-100"
 _FRACTION = (1 << 52) - 1  # the stored mantissa bits of a float64
@@ -291,13 +294,26 @@ def _write(*files):
 
 def _params(**resolved):
     """The running command's parameters by long flag (``--format`` -> ``format``)
-    in declaration order, ``resolved`` for values it computes, no ``--workers``."""
+    in declaration order, ``resolved`` for values it computes, no ``--workers``.
+
+    The ``--output`` stem is the text of its argv bytes read as UTF-8: a
+    locale that is not UTF-8 (C, POSIX) decodes ``café`` to lone
+    surrogates, which a UTF-8 file cannot hold, from the UTF-8 locale's
+    bytes, so both locales write the same text.  A stem whose bytes are
+    not UTF-8 raises ``CliError`` (exit 2).
+    """
     ctx = click.get_current_context()
     params = {}
     for option in ctx.command.params:
         flag = option.opts[0].removeprefix("--")
         if flag != "workers":
             params[flag] = resolved.get(flag, ctx.params[option.name])
+    stem = params.get("output")
+    if stem is not None:
+        try:
+            params["output"] = os.fsencode(stem).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CliError(f"cannot write {stem}: its name is not UTF-8 ({exc.reason})")
     return params
 
 
@@ -443,28 +459,40 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
     n = j = 2 and m is an integer, quadrature otherwise) and (b) the
     claimed Gamma(m, 1/(n-j+1)) law.  The claim should survive only at
     m = 1.
+
+    Stages that share no input overlap on one side thread, which is
+    extra to the --workers block threads: it builds the true law's
+    reference cdf table while the sample is drawn, then runs the
+    claimed-law KS test while the main thread runs the true-law one.
+    Each stage computes what it would alone, and a failure is raised in
+    the order a serial run meets it: the sample, then the table, then
+    the true-law and the claimed-law tests.
     """
     shapes = _parse_float_list(m_list, "--m")
     alpha = _level("alpha", alpha)  # the library never sees it
     rows = []
-    for m in shapes:
-        cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed)
-        truth, claim = spacing_law(n, j, m), spacing_law(n, j, m, "claimed")
-        sample = simulate_spacing(cfg, j, workers=workers)
-        if not sample.values.any():
-            raise ValueError(f"every simulated Y_{j} is 0 at m={m:g}, n={n}: the Gamma "
-                             "draws underflow, so a KS test cannot judge a law on them")
-        ks_truth = ks_test(sample.values, truth.cdf)
-        ks_claim = ks_test(sample.values, claim.cdf)
-        rows.append({
-            "m": m,
-            "truth_route": truth.route,
-            "truth_d": ks_truth.statistic,
-            "truth_p": ks_truth.p_value,
-            "claimed_d": ks_claim.statistic,
-            "claimed_p": ks_claim.p_value,
-            "claimed_rejected": bool(ks_claim.p_value < alpha),
-        })
+    with ThreadPoolExecutor(max_workers=1) as side:
+        for m in shapes:
+            cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed)
+            truth, claim = spacing_law(n, j, m), spacing_law(n, j, m, "claimed")
+            table = side.submit(truth.cdf, 0.0)  # the law keeps the table it builds
+            sample = simulate_spacing(cfg, j, workers=workers)
+            if not sample.values.any():
+                raise ValueError(f"every simulated Y_{j} is 0 at m={m:g}, n={n}: the Gamma "
+                                 "draws underflow, so a KS test cannot judge a law on them")
+            table.result()
+            claimed = side.submit(ks_test, sample.values, claim.cdf)
+            ks_truth = ks_test(sample.values, truth.cdf)
+            ks_claim = claimed.result()
+            rows.append({
+                "m": m,
+                "truth_route": truth.route,
+                "truth_d": ks_truth.statistic,
+                "truth_p": ks_truth.p_value,
+                "claimed_d": ks_claim.statistic,
+                "claimed_p": ks_claim.p_value,
+                "claimed_rejected": bool(ks_claim.p_value < alpha),
+            })
     click.echo(f"{'m':>8}  {'truth':>8}  {'truth_d':>10}  {'truth_p':>10}  "
                f"{'claimed_d':>10}  {'claimed_p':>10}  verdict")
     for row in rows:

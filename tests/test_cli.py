@@ -24,9 +24,11 @@ from gammaspacings import (
     simulate_statistic,
     spacing_law,
 )
-from gammaspacings import cli
+from gammaspacings import cli, spacings
 from gammaspacings.cli import main
+from gammaspacings.gamma import GammaParams, gamma_quantile
 from gammaspacings.montecarlo import STREAM_LAYOUT
+from gammaspacings.spacings import CDF_NODES, QuadratureError
 from gammaspacings.stats import REDUCTIONS
 
 
@@ -410,6 +412,82 @@ def test_validate_on_an_all_zero_sample_exits_two(runner):
         assert json.loads(Path("simulate.json").read_text())["values"] == [0.0] * 2000
 
 
+# (--m, n, j): the numeric route, the exact route, a shape below 1 whose
+# smallest spacings fall below the cdf table's first interior node, and two shapes
+VALIDATE_CASES = {
+    "numeric": ("2.5", 4, 3),
+    "exact": ("3", 2, 2),
+    "below-unit-shape": ("0.5", 3, 2),
+    "two-shapes": ("2.5,1", 4, 3),
+}
+
+
+@functools.cache
+def _serial_validate(m_list, n, j, reps, seed, alpha=0.05):
+    """validate's rows from library calls, one stage after another."""
+    rows = []
+    for m in map(float, m_list.split(",")):
+        values = simulate_spacing(SimulationConfig(n=n, m=m, reps=reps, seed=seed), j).values
+        truth = spacing_law(n, j, m)
+        ks_truth = ks_test(values, truth.cdf)
+        ks_claim = ks_test(values, spacing_law(n, j, m, "claimed").cdf)
+        rows.append({"m": m, "truth_route": truth.route,
+                     "truth_d": ks_truth.statistic, "truth_p": ks_truth.p_value,
+                     "claimed_d": ks_claim.statistic, "claimed_p": ks_claim.p_value,
+                     "claimed_rejected": ks_claim.p_value < alpha})
+    return rows
+
+
+def test_validate_below_unit_shape_case_reaches_below_the_first_table_node():
+    # that case's smallest values take the direct quadrature, not the table
+    m_list, n, j = VALIDATE_CASES["below-unit-shape"]
+    m = float(m_list)
+    first = 2.0 * float(gamma_quantile(1.0 - 1e-8, GammaParams(m, 1.0))) / (CDF_NODES - 1) ** 3
+    values = simulate_spacing(SimulationConfig(n=n, m=m, reps=10000, seed=3), j).values
+    assert np.count_nonzero((values > 0.0) & (values < first)) >= 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(VALIDATE_CASES))
+def test_validate_file_is_the_serial_library_result(runner, case, workers):
+    # the table build and the claimed-law KS run on a side thread; the
+    # file must hold what the stages give one after another, byte for byte
+    m_list, n, j = VALIDATE_CASES[case]
+    rows = _serial_validate(m_list, n, j, 10000, 3)
+    params = {"m": m_list, "n": n, "j": j, "reps": 10000, "seed": 3, "alpha": 0.05,
+              "output": "validate"}
+    with runner.isolated_filesystem():
+        result = invoke(runner, ["validate", "--m", m_list, "--n", str(n), "--j", str(j),
+                                 "--reps", "10000", "--seed", "3", "--workers", str(workers)])
+        assert result.exit_code == 0
+        text = Path("validate.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert [list(row) for row in doc["rows"]] == [list(row) for row in rows]
+    assert doc["rows"] == rows
+    assert text == json.dumps({"subcommand": "validate", "parameters": params, "rows": rows},
+                              indent=2) + "\n"
+
+
+def test_validate_raises_the_all_zero_sample_before_a_failed_table(runner, monkeypatch):
+    # the table's failure on the side thread must not overtake the
+    # sample's, which a serial run meets first
+    built = []
+
+    def fail(*args, **kwargs):
+        built.append(args)
+        raise QuadratureError("the table build failed")
+
+    monkeypatch.setattr(spacings, "spacing_cdf_numeric", fail)
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["validate", "--m", "0.001", "--n", "100", "--j", "2",
+                                      "--reps", "2000", "--seed", "1"])
+        assert result.exit_code == 2
+        assert "Error: every simulated Y_2 is 0 at m=0.001, n=100" in result.output
+        assert "table build failed" not in result.output and "Traceback" not in result.output
+        assert list(Path(".").iterdir()) == []
+    assert built  # the table was built, and failed
+
+
 def test_validate_usage_validation(runner):
     assert runner.invoke(main, ["validate", "--m", "1,x", "--seed", "0"]).exit_code == 2
     assert runner.invoke(main, ["validate", "--alpha", "1.5", "--seed", "0"]).exit_code == 2
@@ -685,21 +763,29 @@ def test_discordancy_test_reads_a_utf8_datafile_in_the_c_locale(tmp_path):
     assert (c.returncode, c.stdout, c.stderr) == (utf8.returncode, utf8.stdout, b"")
 
 
-def test_density_output_stem_in_the_c_locale_exits_two(tmp_path):
-    # the C locale decodes the stem's UTF-8 bytes to lone surrogates,
-    # which a UTF-8 file cannot hold; a UTF-8 locale writes them as is
-    args = ["density", "--m", "2", "--points", "5", "--output", "café"]
-    c = _run_cli(tmp_path, args, **C_LOCALE)
-    assert c.returncode == 2
-    assert c.stderr.startswith(b"Error: cannot write caf") and b"Traceback" not in c.stderr
-    assert list(tmp_path.iterdir()) == []  # the failed write leaves no partial file
-    utf8 = _run_cli(tmp_path, args, PYTHONUTF8="1")
-    assert utf8.returncode == 0, utf8.stderr
-    written = {path: path.read_bytes() for path in tmp_path.iterdir()}
-    assert "# output: café\n".encode() in written[tmp_path / "café_exact.csv"]
-    # the same name under the C locale: a failed write keeps the existing file
-    assert _run_cli(tmp_path, args, **C_LOCALE).returncode == 2
-    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
+def test_density_output_stem_in_the_c_locale_writes_the_utf8_locale_files(tmp_path):
+    # the C locale decodes the stem's UTF-8 bytes to lone surrogates; its
+    # text in CSV comments and JSON fields comes from those bytes, so both
+    # locales write the same files, but for the manifest's timestamp
+    written = {}
+    for locale, env in (("c", C_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        (tmp_path / locale).mkdir()
+        for fmt in ("csv", "json"):
+            done = _run_cli(tmp_path / locale, ["density", "--m", "2", "--points", "5",
+                                                "--format", fmt, "--output", f"café-{fmt}"],
+                            **env)
+            assert done.returncode == 0, done.stderr
+        written[locale] = {path.name: [line for line in path.read_bytes().splitlines()
+                                       if b'"timestamp"' not in line]
+                           for path in (tmp_path / locale).iterdir()}
+    assert written["c"] == written["utf8"]
+    assert sorted(written["c"]) == sorted(f"café-{fmt}{end}" for fmt in ("csv", "json")
+                                          for end in ("_exact." + fmt, "_claimed." + fmt,
+                                                      ".manifest.json"))
+    assert "# output: café-csv".encode() in written["c"]["café-csv_exact.csv"]
+    for name, key in (("café-json_exact.json", "meta"), ("café-json.manifest.json", "parameters")):
+        doc = json.loads((tmp_path / "c" / name).read_text(encoding="utf-8"))
+        assert doc[key]["output"] == "café-json"
 
 
 def test_output_stem_with_an_undecodable_byte_exits_two(tmp_path):
