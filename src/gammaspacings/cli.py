@@ -289,7 +289,7 @@ def _write(*files):
             with contextlib.suppress(OSError):  # gone already after the replace
                 os.remove(tmp)
     for file in files:
-        click.echo(f"wrote {file.path}")
+        click.echo(b"wrote " + os.fsencode(file.path))  # the argv bytes in any locale
 
 
 def _params(**resolved):
@@ -300,7 +300,8 @@ def _params(**resolved):
     locale that is not UTF-8 (C, POSIX) decodes ``café`` to lone
     surrogates, which a UTF-8 file cannot hold, from the UTF-8 locale's
     bytes, so both locales write the same text.  A stem whose bytes are
-    not UTF-8 raises ``CliError`` (exit 2).
+    not UTF-8 raises ``CliError`` (exit 2): each command calls this
+    before its work, so such a run computes and prints nothing.
     """
     ctx = click.get_current_context()
     params = {}
@@ -380,8 +381,8 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
             for route in (["auto", "claimed"] if which == "all" else [which])]
     if ymax is None:
         ymax = math.ceil(float(gamma_quantile(0.9999, GammaParams(m, 1.0))) * 10) / 10
-    curves = [density_curve(law, ymax, points) for law in laws]
     params = _params(ymax=ymax)
+    curves = [density_curve(law, ymax, points) for law in laws]
     files = []
     for law, curve in zip(laws, curves):
         meta = {**params, "curve": law.route}
@@ -412,6 +413,7 @@ def density(m, n, j, which, ymax, points, tol, fmt, output):
 @click.option("--output", type=click.Path(), default="simulate")
 def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
     """Simulate an empirical null sample of a spacing or a statistic."""
+    params = _params()
     if (j is None) == (stat is None):
         raise click.UsageError("exactly one of --j or --stat is required")
     if stat is not None and k is None:
@@ -423,7 +425,6 @@ def simulate(n, m, sigma, j, stat, k, reps, seed, workers, bins, fmt, output):
         sample = simulate_spacing(cfg, j, workers=workers)
     else:
         sample = simulate_statistic(cfg, stat, workers=workers)
-    params = _params()
     name, config = sample.statistic_name, asdict(sample.config)
     files = [_File(f"{output}.{fmt}", fmt,
                    doc={"statistic": name, "config": config, "values": sample.values},
@@ -468,6 +469,7 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
     the order a serial run meets it: the sample, then the table, then
     the true-law and the claimed-law tests.
     """
+    params = _params()
     shapes = _parse_float_list(m_list, "--m")
     alpha = _level("alpha", alpha)  # the library never sees it
     rows = []
@@ -502,7 +504,6 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
             f"{row['truth_p']:>10.4g}  {row['claimed_d']:>10.5f}  "
             f"{row['claimed_p']:>10.4g}  {verdict}"
         )
-    params = _params()
     _write(_File(f"{output}.json", doc={"subcommand": "validate", "parameters": params,
                                         "rows": rows}),
            _manifest(output, params))
@@ -523,11 +524,11 @@ def validate(m_list, n, j, reps, seed, alpha, workers, output):
 def critical_values(n, m, k, stat, alpha_list, reps, seed, workers, fmt, output):
     """Tabulate the critical values test and power decide by: a statistic is
     rejected iff it exceeds one (inf where alpha < 1/(1 + reps))."""
+    params = _params()
     alphas = _parse_float_list(alpha_list, "--alpha")
     cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     sample = simulate_statistic(cfg, stat, workers=workers)
     crits = [critical_value(sample, a) for a in alphas]
-    params = _params()
     for a, v in zip(alphas, crits):
         click.echo(f"alpha={a:g}  critical_value={v!r}")
     _write(_File(f"{output}.{fmt}", fmt,
@@ -583,6 +584,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     if len(values) < 2:
         raise CliError(f"{datafile}: need at least 2 observations, got {len(values)}")
     n = len(values)
+    params = {**_params(), "n": n}
     cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     observed = float(REDUCTIONS[stat](np.sort(values)[np.newaxis], k)[0])
     null = simulate_statistic(cfg, stat, workers=workers)
@@ -599,7 +601,7 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
     }
     click.echo(json.dumps(report, indent=2))
     if output is not None:
-        _write(_File(f"{output}.json", doc=report), _manifest(output, {**_params(), "n": n}))
+        _write(_File(f"{output}.json", doc=report), _manifest(output, params))
     ctx.exit(1 if discordant else 0)
 
 
@@ -620,11 +622,11 @@ def test(ctx, datafile, k, m, stat, alpha, reps, seed, workers, output):
 @click.option("--output", type=click.Path(), default="power")
 def power(n, m, k, b_list, stat, alpha, reps, seed, workers, fmt, output):
     """Estimate rejection rates under scale slippage of the top k values."""
+    params = _params()
     bs = _parse_float_list(b_list, "--b")
     cfg = SimulationConfig(n=n, m=m, reps=reps, seed=seed, k=k)
     powers = simulate_power(cfg, stat, bs, alpha, workers=workers)
     ses = [math.sqrt(p * (1.0 - p) / reps) for p in powers]
-    params = _params()
     rows = list(zip(bs, powers, ses))
     for b, p, s in rows:
         click.echo(f"b={b:g}  power={p:.4f}  se={s:.4f}")

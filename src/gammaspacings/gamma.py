@@ -4,6 +4,11 @@ Shape/scale convention throughout: ``Gamma(m, sigma)`` has density
 ``x**(m-1) * exp(-x/sigma) / (Gamma(m) * sigma**m)`` on ``x > 0``,
 mean ``m*sigma`` and variance ``m*sigma**2``.
 
+Every pdf and cdf of the package, here and in ``spacings``, takes its
+points by one rule, ``_pointwise``: a float or a finite 1-D array (a
+float gives a float, an array an array of the same length), else
+``ValueError``; the value is 0 below 0, and at 0 for a cdf.
+
 Random streams are SFC64 generators keyed by the pair
 ``(seed, stream_index)`` through numpy's child-stream seeding: the same
 pair always yields the same stream, independent of how many other
@@ -113,14 +118,17 @@ class RngStream:
         return np.random.Generator(np.random.SFC64(seq))
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
-
-
-def _maybe_scalar(arr, scalar):
-    return float(arr[0]) if scalar else arr
+def _pointwise(y, fn, closed=False):
+    """The point rule: ``fn`` of the points of ``y`` that are > 0 (>= 0 if
+    ``closed``), 0 at the others.  ``y`` is a float (gives a float) or a
+    finite 1-D array (``_finite_1d``, empty allowed), else ``ValueError``."""
+    scalar = np.ndim(y) == 0
+    arr = _finite_1d("y", [y] if scalar else y, 0)
+    live = arr >= 0 if closed else arr > 0
+    out = np.zeros_like(arr)
+    if live.any():
+        out[live] = fn(arr[live])
+    return float(out[0]) if scalar else out
 
 
 def gamma_pdf(x, params: GammaParams):
@@ -132,7 +140,7 @@ def gamma_pdf(x, params: GammaParams):
 
     Parameters
     ----------
-    x : float or array_like
+    x : float or 1-D array_like
     params : GammaParams
 
     Returns
@@ -140,19 +148,14 @@ def gamma_pdf(x, params: GammaParams):
     float or ndarray
     """
     m, sigma = params.m, params.sigma
-    arr, scalar = _as_float_array(x)
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    if np.any(pos):
-        u = arr[pos] / sigma
-        out[pos] = np.exp((m - 1.0) * np.log(u) - u - special.gammaln(m)) / sigma
-    at_zero = arr == 0
-    if np.any(at_zero):
-        if m == 1.0:
-            out[at_zero] = 1.0 / sigma
-        elif m < 1.0:
-            out[at_zero] = np.inf
-    return _maybe_scalar(out, scalar)
+
+    def pdf(x):
+        u = x / sigma
+        with np.errstate(divide="ignore"):  # log 0 = -inf gives the limit at 0
+            power = (m - 1.0) * np.log(u) if m != 1.0 else 0.0  # 0 log 0 is nan
+        return np.exp(power - u - special.gammaln(m)) / sigma
+
+    return _pointwise(x, pdf, closed=True)
 
 
 def gamma_cdf(x, params: GammaParams):
@@ -161,12 +164,7 @@ def gamma_cdf(x, params: GammaParams):
     Regularized lower incomplete gamma ``P(m, x/sigma)``; zero for
     ``x <= 0``, strictly increasing on ``x > 0`` with limit 1.
     """
-    arr, scalar = _as_float_array(x)
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    if np.any(pos):
-        out[pos] = special.gammainc(params.m, arr[pos] / params.sigma)
-    return _maybe_scalar(out, scalar)
+    return _pointwise(x, lambda x: special.gammainc(params.m, x / params.sigma))
 
 
 def gamma_quantile(q, params: GammaParams):
@@ -182,8 +180,8 @@ def gamma_quantile(q, params: GammaParams):
     ValueError
         If any ``q`` lies outside ``[0, 1)``.
     """
-    arr, scalar = _as_float_array(q)
-    if np.any(arr < 0) or np.any(arr >= 1) or not np.all(np.isfinite(arr)):
+    arr = np.asarray(q, dtype=float)
+    if not np.all((arr >= 0) & (arr < 1)):  # nan fails both
         raise ValueError("gamma_quantile requires 0 <= q < 1")
     out = special.gammaincinv(params.m, arr) * params.sigma
-    return _maybe_scalar(np.atleast_1d(out), scalar)
+    return float(out) if arr.ndim == 0 else out

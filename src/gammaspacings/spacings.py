@@ -26,9 +26,11 @@ pdf and a cdf:
   can be measured.
 
 ``density_curve`` tabulates a law as a ``DensityCurve``, which holds
-arrays only: the CLI's one writer renders it as CSV or JSON.  Points
-``y`` go through ``gamma``'s one sample check (finite, 1-D; a float
-counts as one point).
+arrays only: the CLI's one writer renders it as CSV or JSON.
+
+Every pdf and cdf here takes its points ``y`` by ``gamma``'s one point
+rule, ``_pointwise``: a float or a finite 1-D array, else
+``ValueError``; the value is 0 below 0, and at 0 for a cdf.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .gamma import (GammaParams, _as_float_array, _finite_1d, _integer, _level, _maybe_scalar,
-                    gamma_cdf, gamma_pdf, gamma_quantile)
+from .gamma import (GammaParams, _integer, _level, _pointwise, gamma_cdf, gamma_pdf,
+                    gamma_quantile)
 
 __all__ = [
     "SpacingIndex",
@@ -154,7 +156,9 @@ class DensityCurve:
 class SpacingLaw:
     """Pdf and cdf of a spacing law (built by ``spacing_law``), the route
     that computes them (``exact``, ``numeric`` or ``claimed``) and the
-    Gamma shape ``m``.  ``pdf`` and ``cdf`` take a float or a 1-D array.
+    Gamma shape ``m``.  ``pdf`` and ``cdf`` take ``y`` by the point rule
+    (``_pointwise``): a float or a finite 1-D array, else ``ValueError``;
+    a float gives a float, an array an array of the same length.
     """
 
     route: str
@@ -186,20 +190,18 @@ class MixtureDecomposition:
 
     def pdf(self, y):
         """Mixture density at ``y``."""
-        arr, scalar = _as_float_array(y)
-        out = np.zeros_like(arr)
-        for w, a in zip(self.weights, self.shapes):
-            out += w * gamma_pdf(arr, GammaParams(float(a), 1.0))
-        return _maybe_scalar(out, scalar)
+        return _pointwise(y, lambda y: self._sum(gamma_pdf, y), closed=True)
 
     def cdf(self, y):
         """Mixture cumulative distribution at ``y``, clamped to ``[0, 1]``
         (the weighted sum of component cdfs rounds past 1 in the tail)."""
-        arr, scalar = _as_float_array(y)
-        out = np.zeros_like(arr)
+        return _pointwise(y, lambda y: np.clip(self._sum(gamma_cdf, y), 0.0, 1.0))
+
+    def _sum(self, fn, y):
+        out = np.zeros_like(y)
         for w, a in zip(self.weights, self.shapes):
-            out += w * gamma_cdf(arr, GammaParams(float(a), 1.0))
-        return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
+            out += w * fn(y, GammaParams(float(a), 1.0))
+        return out
 
 
 def _exact_m(m, n=2, j=2) -> int:
@@ -247,7 +249,7 @@ def y2_pdf_exact(m, y):
         Integer shape from 1 to ``EXACT_MAX_M`` (ValueError outside).
         Non-integer shapes have no closed form here; use
         ``spacing_pdf_numeric``.
-    y : float or array_like
+    y : float or 1-D array_like
 
     Returns
     -------
@@ -255,28 +257,24 @@ def y2_pdf_exact(m, y):
         Zero for ``y < 0``.
     """
     mi = _exact_m(m)
-    arr, scalar = _as_float_array(y)
     logc = _y2_log_coeffs(mi)
-    out = np.zeros_like(arr)
-    at_zero = arr == 0
-    if np.any(at_zero):
-        # only the i = 0 term survives at y = 0
-        out[at_zero] = math.exp(logc[0])
-    pos = arr > 0
-    if np.any(pos):
-        yp = arr[pos]
-        ly = np.log(yp)
-        total = np.zeros_like(yp)
-        comp = np.zeros_like(yp)
+
+    def pdf(y):
+        with np.errstate(divide="ignore"):  # log 0 = -inf: y^i is 0 at y = 0 for i > 0
+            ly = np.log(y)
+        total = np.zeros_like(y)
+        comp = np.zeros_like(y)
         for i in range(mi):
-            term = np.exp(logc[i] + i * ly - yp)
+            # the i = 0 term has no y^i factor (0 log 0 is nan)
+            term = np.exp(logc[i] + i * ly - y if i else logc[0] - y)
             t = total + term
             comp += np.where(
                 np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total
             )
             total = t
-        out[pos] = total + comp
-    return _maybe_scalar(out, scalar)
+        return total + comp
+
+    return _pointwise(y, pdf, closed=True)
 
 
 def y2_mixture(m) -> MixtureDecomposition:
@@ -294,14 +292,6 @@ def y2_mixture(m) -> MixtureDecomposition:
     i = np.arange(mi, dtype=float)
     weights = np.exp(_y2_log_coeffs(mi) + special.gammaln(i + 1.0))
     return MixtureDecomposition(weights=weights, shapes=np.arange(1, mi + 1))
-
-
-def _checked(y, tol):
-    """``(y as a 1-D float array, y was a scalar)``; ValueError unless
-    every entry is finite (an empty array passes) and ``0 < tol < 1``."""
-    _level("tol", tol)
-    arr, scalar = _as_float_array(y)
-    return _finite_1d("y", arr, 0), scalar
 
 
 def _gk21(fn, a, b):
@@ -476,17 +466,16 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     Raises
     ------
     ValueError
-        If an entry of ``y`` is not finite or ``tol`` is not in (0, 1).
+        If ``y`` is not a float or a finite 1-D array, or ``tol`` is not in (0, 1).
     QuadratureError
         If the adaptive scheme cannot certify the tolerance.
     """
-    arr, scalar = _checked(y, tol)
-    out = np.zeros_like(arr)
-    live = arr >= 0
-    if np.any(live):
-        m, sigma, c = params.m, params.sigma, idx.n - idx.j + 1
-        z = arr[live] / sigma
-        log_c = math.log(c) - math.lgamma(m) - math.log(sigma)
+    _level("tol", tol)
+    m, sigma, c = params.m, params.sigma, idx.n - idx.j + 1
+    log_c = math.log(c) - math.lgamma(m) - math.log(sigma)
+
+    def pdf(y):
+        z = y / sigma
 
         def integrand(t, log_w):
             s = t[:, None] + z
@@ -495,8 +484,9 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
                 log_f += (c - 1) * np.log(special.gammaincc(m, s))
             return np.exp(log_f)
 
-        out[live] = np.maximum(0.0, _integrate_over_x(idx, params, integrand, tol))
-    return _maybe_scalar(out, scalar)
+        return np.maximum(0.0, _integrate_over_x(idx, params, integrand, tol))
+
+    return _pointwise(y, pdf, closed=True)
 
 
 def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
@@ -517,12 +507,11 @@ def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     bounds the largest error over ``y``.  The result is 0 for ``y <= 0``
     and clamped to ``[0, 1]``.
     """
-    arr, scalar = _checked(y, tol)
-    out = np.zeros_like(arr)
-    live = arr > 0
-    if np.any(live):
-        m, c = params.m, idx.n - idx.j + 1
-        z = arr[live] / params.sigma
+    _level("tol", tol)
+    m, c = params.m, idx.n - idx.j + 1
+
+    def cdf(y):
+        z = y / params.sigma
 
         def integrand(t, log_w):
             log_st = np.log(special.gammaincc(m, t))
@@ -530,8 +519,9 @@ def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
             log_ratio = np.log(special.gammaincc(m, t[:, None] + z)) - log_st[:, None]
             return np.exp(log_w + c * log_st)[:, None] * -np.expm1(c * np.minimum(log_ratio, 0.0))
 
-        out[live] = np.clip(_integrate_over_x(idx, params, integrand, tol), 0.0, 1.0)
-    return _maybe_scalar(out, scalar)
+        return np.clip(_integrate_over_x(idx, params, integrand, tol), 0.0, 1.0)
+
+    return _pointwise(y, cdf)
 
 
 def _monotone_cubic(x, y):
@@ -617,17 +607,21 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
         return ymax, nodes[1], _monotone_cubic(nodes, values)
 
     def cdf(y):
+        # built even when no y is > 0: validate's cdf(0.0) builds it on a side thread
         ymax, first, interp = interpolant()
-        arr, scalar = _as_float_array(y)
-        out = np.clip(interp(np.clip(arr, 0.0, ymax)), 0.0, 1.0)
-        low = (arr > 0.0) & (arr < first)
-        if np.any(low):
-            out[low] = spacing_cdf_numeric(idx, params, arr[low], tol)
-        # where the cdf is flat, rounding in the cubic wiggles by an ulp;
-        # a running maximum in y keeps the returned values monotone
-        order = np.argsort(arr, kind="stable")
-        out[order] = np.maximum.accumulate(out[order])
-        return _maybe_scalar(out, scalar)
+
+        def on_support(y):
+            out = np.clip(interp(np.minimum(y, ymax)), 0.0, 1.0)
+            low = y < first
+            if np.any(low):
+                out[low] = spacing_cdf_numeric(idx, params, y[low], tol)
+            # where the cdf is flat, rounding in the cubic wiggles by an ulp;
+            # a running maximum in y keeps the returned values monotone
+            order = np.argsort(y, kind="stable")
+            out[order] = np.maximum.accumulate(out[order])
+            return out
+
+        return _pointwise(y, on_support)
 
     return SpacingLaw(route, m, lambda y: spacing_pdf_numeric(idx, params, y, tol), cdf)
 

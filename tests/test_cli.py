@@ -775,6 +775,8 @@ def test_density_output_stem_in_the_c_locale_writes_the_utf8_locale_files(tmp_pa
                                                 "--format", fmt, "--output", f"café-{fmt}"],
                             **env)
             assert done.returncode == 0, done.stderr
+            assert done.stdout == "".join(f"wrote café-{fmt}{end}\n" for end in (
+                f"_exact.{fmt}", f"_claimed.{fmt}", ".manifest.json")).encode()
         written[locale] = {path.name: [line for line in path.read_bytes().splitlines()
                                        if b'"timestamp"' not in line]
                            for path in (tmp_path / locale).iterdir()}
@@ -789,10 +791,14 @@ def test_density_output_stem_in_the_c_locale_writes_the_utf8_locale_files(tmp_pa
 
 
 def test_output_stem_with_an_undecodable_byte_exits_two(tmp_path):
-    done = _run_cli(tmp_path, ["density", "--m", "2", "--points", "5", "--output", b"x\xff"],
-                    PYTHONUTF8="1")
-    assert done.returncode == 2
-    assert done.stderr.startswith(b"Error: cannot write x") and b"Traceback" not in done.stderr
+    # the stem is checked before any work: no result table, no file
+    for command in (["density", "--m", "2", "--points", "5"],
+                    ["validate", "--m", "2", "--reps", "200", "--seed", "1"]):
+        done = _run_cli(tmp_path, [*command, "--output", b"x\xff"], PYTHONUTF8="1")
+        assert done.returncode == 2
+        assert done.stderr.startswith(b"Error: cannot write x") and b"Traceback" not in done.stderr
+        assert done.stdout == b""
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [

@@ -437,21 +437,75 @@ def test_numeric_routes_return_a_float_for_a_scalar_and_zero_below_the_support()
     assert list(cdf[:2]) == [0.0, 0.0] and 0 < cdf[2] < 1
 
 
-def test_numeric_routes_reject_bad_input_before_any_quadrature(monkeypatch):
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("quadrature ran")
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(spacings, "_adaptive_gk21", no_quadrature)
+
+def test_numeric_routes_reject_bad_input_before_any_quadrature(monkeypatch):
+    # bad points: test_every_pdf_and_cdf_follows_the_point_rule
+    monkeypatch.setattr(spacings, "_adaptive_gk21", _no_quadrature)
     idx, params = SpacingIndex(4, 3), GammaParams(2.5)
     for fn in (spacing_pdf_numeric, spacing_cdf_numeric):
-        for bad in ([1.0, math.nan], [math.inf, 1.0], [-math.inf], math.nan):
-            with pytest.raises(ValueError, match="finite"):
-                fn(idx, params, bad)
         for tol in (0.0, 1.0, -1e-9, math.nan):
             with pytest.raises(ValueError, match="tol"):
                 fn(idx, params, [0.5, 1.0], tol)
-        with pytest.raises(ValueError, match="1-D"):
-            fn(idx, params, np.ones((2, 2)))
+
+
+_NUMERIC_LAW = spacing_law(4, 3, 2.5)
+_EXACT_LAW, _CLAIMED_LAW = spacing_law(2, 2, 3), spacing_law(4, 3, 2.5, "claimed")
+
+# every pdf and cdf: one point rule (gamma._pointwise) for all of them
+POINT_RULE_ENTRY_POINTS = {
+    "gamma_pdf": lambda y: gamma_pdf(y, GammaParams(2.5, 0.5)),
+    "gamma_cdf": lambda y: gamma_cdf(y, GammaParams(2.5, 0.5)),
+    "MixtureDecomposition.pdf": y2_mixture(3).pdf,
+    "MixtureDecomposition.cdf": y2_mixture(3).cdf,
+    "y2_pdf_exact": lambda y: y2_pdf_exact(3, y),
+    "spacing_pdf_numeric": lambda y: spacing_pdf_numeric(SpacingIndex(4, 3), GammaParams(2.5), y),
+    "spacing_cdf_numeric": lambda y: spacing_cdf_numeric(SpacingIndex(4, 3), GammaParams(2.5), y),
+    "numeric law pdf": _NUMERIC_LAW.pdf,
+    "numeric law cdf": _NUMERIC_LAW.cdf,
+    "exact law pdf": _EXACT_LAW.pdf,
+    "exact law cdf": _EXACT_LAW.cdf,
+    "claimed law pdf": _CLAIMED_LAW.pdf,
+    "claimed law cdf": _CLAIMED_LAW.cdf,
+}
+
+
+@pytest.mark.parametrize("entry", POINT_RULE_ENTRY_POINTS)
+def test_every_pdf_and_cdf_follows_the_point_rule(entry, monkeypatch):
+    fn = POINT_RULE_ENTRY_POINTS[entry]
+    value = fn(0.5)
+    assert type(value) is float and 0.0 < value < 1.0
+    assert fn(-1.0) == 0.0 and type(fn(-1.0)) is float
+    assert list(fn(np.array([-1e300, 0.5, -2.0, -1e-300]))) == [0.0, value, 0.0, 0.0]
+    assert fn(0.0) >= 0.0  # also builds the numeric law's cdf table
+    empty = fn([])
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    # a bad y raises, and (the numeric law's table aside) runs no quadrature
+    monkeypatch.setattr(spacings, "_adaptive_gk21", _no_quadrature)
+    for bad in (math.nan, math.inf, -math.inf, [0.5, math.nan], [-math.inf, 1.0],
+                np.ones((2, 2)), np.ones((1, 1)), [[0.5]]):
+        with pytest.raises(ValueError, match=r"^y must be a finite 1-D array of length >= 0$"):
+            fn(bad)
+
+
+def test_numeric_cdf_builds_its_table_at_zero(monkeypatch):
+    # validate builds the table on its side thread by calling cdf(0.0),
+    # where no point is > 0
+    calls = []
+    real = spacings.spacing_cdf_numeric
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spacings, "spacing_cdf_numeric", counted)
+    law = spacing_law(4, 3, 2.5)
+    assert law.cdf(0.0) == 0.0
+    assert len(calls) == 1 and len(calls[0]) == spacings.CDF_NODES
+    assert 0.0 < law.cdf(1.0) < 1.0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("m, bound", [(0.3, 1e-3), (0.5, 1e-5), (2.5, 1e-5)])
