@@ -7,7 +7,8 @@ mean ``m*sigma`` and variance ``m*sigma**2``.
 Every pdf and cdf of the package, here and in ``spacings``, takes its
 points by one rule, ``_pointwise``: a float or a finite 1-D array (a
 float gives a float, an array an array of the same length), else
-``ValueError``; the value is 0 below 0, and at 0 for a cdf.
+``ValueError``; the value is 0 below 0, and each pdf and cdf takes its
+formula's value at 0.
 
 Random streams are SFC64 generators keyed by the pair
 ``(seed, stream_index)`` through numpy's child-stream seeding: the same
@@ -118,13 +119,14 @@ class RngStream:
         return np.random.Generator(np.random.SFC64(seq))
 
 
-def _pointwise(y, fn, closed=False):
-    """The point rule: ``fn`` of the points of ``y`` that are > 0 (>= 0 if
-    ``closed``), 0 at the others.  ``y`` is a float (gives a float) or a
-    finite 1-D array (``_finite_1d``, empty allowed), else ``ValueError``."""
+def _pointwise(y, fn):
+    """The point rule: ``fn`` of the points of ``y`` that are >= 0, 0 at the
+    others, so a pdf or cdf takes its formula's value at 0.  ``y`` is a
+    float (gives a float) or a finite 1-D array (``_finite_1d``, empty
+    allowed), else ``ValueError``."""
     scalar = np.ndim(y) == 0
     arr = _finite_1d("y", [y] if scalar else y, 0)
-    live = arr >= 0 if closed else arr > 0
+    live = arr >= 0
     out = np.zeros_like(arr)
     if live.any():
         out[live] = fn(arr[live])
@@ -155,7 +157,7 @@ def gamma_pdf(x, params: GammaParams):
             power = (m - 1.0) * np.log(u) if m != 1.0 else 0.0  # 0 log 0 is nan
         return np.exp(power - u - special.gammaln(m)) / sigma
 
-    return _pointwise(x, pdf, closed=True)
+    return _pointwise(x, pdf)
 
 
 def gamma_cdf(x, params: GammaParams):

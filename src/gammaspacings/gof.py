@@ -45,14 +45,14 @@ class Histogram:
     count: int
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        dens = np.asarray(self.densities, dtype=float)
-        if edges.ndim != 1 or dens.ndim != 1 or edges.size != dens.size + 1:
+        edges = _finite_1d("bin_edges", self.bin_edges, 2)
+        dens = _finite_1d("densities", self.densities)
+        if edges.size != dens.size + 1:
             raise ValueError("need len(bin_edges) == len(densities) + 1")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("bin_edges must be strictly increasing")
-        if np.any(dens < 0) or not np.all(np.isfinite(dens)):
-            raise ValueError("densities must be finite and >= 0")
+        if np.any(dens < 0):
+            raise ValueError("densities must be >= 0")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "densities", dens)
         object.__setattr__(self, "count", int(self.count))

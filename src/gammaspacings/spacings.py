@@ -30,7 +30,8 @@ arrays only: the CLI's one writer renders it as CSV or JSON.
 
 Every pdf and cdf here takes its points ``y`` by ``gamma``'s one point
 rule, ``_pointwise``: a float or a finite 1-D array, else
-``ValueError``; the value is 0 below 0, and at 0 for a cdf.
+``ValueError``; the value is 0 below 0, and each pdf and cdf takes its
+formula's value at 0.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .gamma import (GammaParams, _integer, _level, _pointwise, gamma_cdf, gamma_pdf,
-                    gamma_quantile)
+from .gamma import (GammaParams, _finite_1d, _integer, _level, _pointwise, gamma_cdf,
+                    gamma_pdf, gamma_quantile)
 
 __all__ = [
     "SpacingIndex",
@@ -137,16 +138,13 @@ class DensityCurve:
     normalization_error: float
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or values.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("grid and values must be 1-D arrays of equal length")
-        if grid.size < 2:
-            raise ValueError("curve needs at least 2 grid points")
-        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be finite and strictly increasing")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("density values must be finite and >= 0")
+        grid, values = _finite_1d("grid", self.grid, 2), _finite_1d("values", self.values, 2)
+        if grid.shape != values.shape:
+            raise ValueError("grid and values must have equal length")
+        if np.any(np.diff(grid) <= 0):
+            raise ValueError("grid must be strictly increasing")
+        if np.any(values < 0):
+            raise ValueError("density values must be >= 0")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "normalization_error", float(self.normalization_error))
@@ -158,7 +156,8 @@ class SpacingLaw:
     that computes them (``exact``, ``numeric`` or ``claimed``) and the
     Gamma shape ``m``.  ``pdf`` and ``cdf`` take ``y`` by the point rule
     (``_pointwise``): a float or a finite 1-D array, else ``ValueError``;
-    a float gives a float, an array an array of the same length.
+    a float gives a float, an array an array of the same length.  Both
+    are 0 below 0 and take their formula's value at 0.
     """
 
     route: str
@@ -169,28 +168,26 @@ class SpacingLaw:
 
 @dataclass(frozen=True, eq=False)
 class MixtureDecomposition:
-    """Finite Gamma mixture: ``sum_i weights[i] * Gamma(shapes[i], 1)``."""
+    """Finite Gamma mixture: ``sum_i weights[i] * Gamma(shapes[i], 1)``,
+    with weights > 0 and integer shapes >= 1."""
 
     weights: np.ndarray
     shapes: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        shapes = np.asarray(self.shapes, dtype=int)
-        if weights.ndim != 1 or shapes.ndim != 1 or weights.shape != shapes.shape:
-            raise ValueError("weights and shapes must be 1-D arrays of equal length")
-        if weights.size == 0:
-            raise ValueError("mixture needs at least one component")
-        if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite and > 0")
-        if np.any(shapes < 1):
-            raise ValueError("component shapes must be >= 1")
+        weights, shapes = _finite_1d("weights", self.weights), _finite_1d("shapes", self.shapes)
+        if weights.shape != shapes.shape:
+            raise ValueError("weights and shapes must have equal length")
+        if np.any(weights <= 0):
+            raise ValueError("weights must be > 0")
+        if not np.all((shapes >= 1) & (shapes <= 2**53) & (shapes % 1 == 0)):
+            raise ValueError("component shapes must be integers from 1 to 2**53")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "shapes", shapes.astype(int))
 
     def pdf(self, y):
         """Mixture density at ``y``."""
-        return _pointwise(y, lambda y: self._sum(gamma_pdf, y), closed=True)
+        return _pointwise(y, lambda y: self._sum(gamma_pdf, y))
 
     def cdf(self, y):
         """Mixture cumulative distribution at ``y``, clamped to ``[0, 1]``
@@ -274,7 +271,7 @@ def y2_pdf_exact(m, y):
             total = t
         return total + comp
 
-    return _pointwise(y, pdf, closed=True)
+    return _pointwise(y, pdf)
 
 
 def y2_mixture(m) -> MixtureDecomposition:
@@ -486,7 +483,7 @@ def spacing_pdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
 
         return np.maximum(0.0, _integrate_over_x(idx, params, integrand, tol))
 
-    return _pointwise(y, pdf, closed=True)
+    return _pointwise(y, pdf)
 
 
 def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
@@ -504,8 +501,8 @@ def spacing_cdf_numeric(idx: SpacingIndex, params: GammaParams, y, tol=1e-9):
     ``S(x)^c * -expm1(c (log S(x+y) - log S(x)))``, which does not
     cancel at small ``y`` or at large ``x``.  ``y`` may be a float or a
     1-D array, all entries share one adaptive subdivision, and ``tol``
-    bounds the largest error over ``y``.  The result is 0 for ``y <= 0``
-    and clamped to ``[0, 1]``.
+    bounds the largest error over ``y``.  The result is 0 for ``y < 0``,
+    the formula's exact 0 at ``y = 0``, and clamped to ``[0, 1]``.
     """
     _level("tol", tol)
     m, c = params.m, idx.n - idx.j + 1
@@ -606,24 +603,20 @@ def spacing_law(n, j, m, route="auto", tol=1e-9) -> SpacingLaw:
                                   f"{ymax:g}, not 1 within {tol:g}")
         return ymax, nodes[1], _monotone_cubic(nodes, values)
 
-    def cdf(y):
-        # built even when no y is > 0: validate's cdf(0.0) builds it on a side thread
+    def on_support(y):
         ymax, first, interp = interpolant()
+        out = np.clip(interp(np.minimum(y, ymax)), 0.0, 1.0)
+        low = (0 < y) & (y < first)  # the table is exact at its node 0
+        if np.any(low):
+            out[low] = spacing_cdf_numeric(idx, params, y[low], tol)
+        # where the cdf is flat, rounding in the cubic wiggles by an ulp;
+        # a running maximum in y keeps the returned values monotone
+        order = np.argsort(y, kind="stable")
+        out[order] = np.maximum.accumulate(out[order])
+        return out
 
-        def on_support(y):
-            out = np.clip(interp(np.minimum(y, ymax)), 0.0, 1.0)
-            low = y < first
-            if np.any(low):
-                out[low] = spacing_cdf_numeric(idx, params, y[low], tol)
-            # where the cdf is flat, rounding in the cubic wiggles by an ulp;
-            # a running maximum in y keeps the returned values monotone
-            order = np.argsort(y, kind="stable")
-            out[order] = np.maximum.accumulate(out[order])
-            return out
-
-        return _pointwise(y, on_support)
-
-    return SpacingLaw(route, m, lambda y: spacing_pdf_numeric(idx, params, y, tol), cdf)
+    return SpacingLaw(route, m, lambda y: spacing_pdf_numeric(idx, params, y, tol),
+                      lambda y: _pointwise(y, on_support))
 
 
 def density_curve(law: SpacingLaw, y_max, points) -> DensityCurve:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from gammaspacings import (
     GammaParams,
+    Histogram,
     RngStream,
     gamma_cdf,
     histogram,
@@ -150,3 +151,26 @@ def test_histogram_validation():
         histogram([1.0, 2.0], True)
     h = histogram([1.0, 2.0, 4.0], np.int64(3))
     assert np.array_equal(h.densities, histogram([1.0, 2.0, 4.0], 3).densities)
+
+
+@pytest.mark.parametrize("edges, densities, name", [
+    ([0.0, math.nan], [1.0], "bin_edges"),
+    ([0.0, math.inf], [1.0], "bin_edges"),
+    ([-math.inf, 0.0, 1.0], [0.5, 0.5], "bin_edges"),
+    ([[0.0, 1.0]], [1.0], "bin_edges"),
+    ([0.0], [], "bin_edges"),
+    ([0.0, 1.0], [math.nan], "densities"),
+    ([0.0, 1.0], [math.inf], "densities"),
+])
+def test_histogram_rejects_arrays_outside_the_array_rule(edges, densities, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite 1-D array of length"):
+        Histogram(bin_edges=edges, densities=densities, count=3)
+
+
+def test_histogram_keeps_its_structure_rules():
+    with pytest.raises(ValueError, match=r"len\(bin_edges\) == len\(densities\) \+ 1"):
+        Histogram(bin_edges=[0.0, 1.0, 2.0], densities=[1.0], count=3)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Histogram(bin_edges=[0.0, 0.0], densities=[1.0], count=3)
+    with pytest.raises(ValueError, match=">= 0"):
+        Histogram(bin_edges=[0.0, 1.0], densities=[-1.0], count=3)

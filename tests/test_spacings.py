@@ -13,6 +13,7 @@ from gammaspacings import spacings
 from gammaspacings import (
     DensityCurve,
     GammaParams,
+    MixtureDecomposition,
     QuadratureError,
     SpacingIndex,
     density_curve,
@@ -111,6 +112,31 @@ def test_y2_mixture_pinned_weights():
     assert list(mix2.shapes) == [1, 2]
     mix3 = y2_mixture(3)
     assert_allclose(mix3.weights, [0.375, 0.375, 0.25], atol=1e-14)
+
+
+@pytest.mark.parametrize("shapes", [[1.5, 2.7], [1.0, 2.0 + 1e-9], [0.0, 1.0], [1.0, 2.0**60]])
+def test_mixture_rejects_shapes_that_are_not_integers_from_one(shapes):
+    with pytest.raises(ValueError, match="component shapes must be integers"):
+        MixtureDecomposition(weights=[0.5, 0.5], shapes=shapes)
+
+
+@pytest.mark.parametrize("weights, shapes, message", [
+    ([0.5, math.nan], [1, 2], "^weights must be a finite 1-D array"),
+    ([[1.0]], [1], "^weights must be a finite 1-D array"),
+    ([], [], "^weights must be a finite 1-D array of length >= 1"),
+    ([1.0], [math.inf], "^shapes must be a finite 1-D array"),
+    ([0.5, 0.5], [1], "equal length"),
+    ([1.5, -0.5], [1, 2], "weights must be > 0"),
+])
+def test_mixture_rejects_bad_arrays(weights, shapes, message):
+    with pytest.raises(ValueError, match=message):
+        MixtureDecomposition(weights=weights, shapes=shapes)
+
+
+def test_mixture_keeps_integer_shapes_given_as_floats():
+    mix = MixtureDecomposition(weights=[0.5, 0.5], shapes=[1.0, 2.0])
+    assert mix.shapes.dtype.kind == "i" and list(mix.shapes) == [1, 2]
+    assert mix.cdf(1.0) == y2_mixture(2).cdf(1.0)
 
 
 def test_y2_mixture_weights_sum_to_one_up_to_m50():
@@ -284,6 +310,21 @@ def test_density_curve_type_invariants():
     with pytest.raises(ValueError):
         DensityCurve(grid=np.array([0.0]), values=np.array([1.0]),
                      normalization_error=0.0)
+
+
+@pytest.mark.parametrize("grid, values, message", [
+    ([0.0, math.nan], [1.0, 1.0], "^grid must be a finite 1-D array of length >= 2"),
+    ([0.0, math.inf], [1.0, 1.0], "^grid must be a finite 1-D array"),
+    ([[0.0, 1.0]], [[1.0, 1.0]], "^grid must be a finite 1-D array"),
+    ([0.0, 1.0], [1.0, math.inf], "^values must be a finite 1-D array"),
+    ([0.0, 1.0], [1.0, math.nan], "^values must be a finite 1-D array"),
+    ([0.0, 1.0, 2.0], [1.0, 1.0], "equal length"),
+    ([1.0, 0.0], [1.0, 1.0], "strictly increasing"),
+    ([0.0, 1.0], [1.0, -1e-300], ">= 0"),
+])
+def test_density_curve_rejects_bad_arrays(grid, values, message):
+    with pytest.raises(ValueError, match=message):
+        DensityCurve(grid=grid, values=values, normalization_error=0.0)
 
 
 def test_quadrature_route_agrees_with_exact_on_grid():
@@ -506,6 +547,82 @@ def test_numeric_cdf_builds_its_table_at_zero(monkeypatch):
     assert len(calls) == 1 and len(calls[0]) == spacings.CDF_NODES
     assert 0.0 < law.cdf(1.0) < 1.0
     assert len(calls) == 1
+
+
+# every cdf: its formula at y = 0, which is exactly +0.0
+ZERO_CDFS = {
+    "gamma_cdf": POINT_RULE_ENTRY_POINTS["gamma_cdf"],
+    "MixtureDecomposition.cdf": POINT_RULE_ENTRY_POINTS["MixtureDecomposition.cdf"],
+    "spacing_cdf_numeric": POINT_RULE_ENTRY_POINTS["spacing_cdf_numeric"],
+    "spacing_cdf_numeric, m < 1": lambda y: spacing_cdf_numeric(SpacingIndex(3, 2),
+                                                                GammaParams(0.3), y),
+    "exact law cdf": _EXACT_LAW.cdf,
+    "claimed law cdf": _CLAIMED_LAW.cdf,
+    "numeric law cdf": _NUMERIC_LAW.cdf,
+}
+
+
+@pytest.mark.parametrize("entry", ZERO_CDFS)
+def test_every_cdf_is_plus_zero_at_zero(entry):
+    fn = ZERO_CDFS[entry]
+    for y in (0.0, -0.0):
+        value = fn(y)
+        assert value == 0.0 and not np.signbit(value)
+        values = fn(np.array([y, 1e-300, 1.0]))
+        assert values[0] == 0.0 and not np.signbit(values[0])
+        assert 0.0 <= values[1] <= values[2] < 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.ones((2, 2)), -1.0,
+                                 [-2.0, -1e-300]])
+def test_numeric_cdf_builds_no_table_for_points_off_the_support(bad, monkeypatch):
+    # a bad y raises, and a y below 0 is 0, before any quadrature
+    calls = []
+    real = spacings.spacing_cdf_numeric
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spacings, "spacing_cdf_numeric", counted)
+    law = spacing_law(4, 3, 2.5)
+    if np.all(np.isfinite(bad)) and np.ndim(bad) < 2:
+        assert np.all(law.cdf(bad) == 0.0)
+    else:
+        with pytest.raises(ValueError, match="^y must be a finite 1-D array"):
+            law.cdf(bad)
+    assert calls == []
+
+
+def test_numeric_cdf_table_error_at_validates_shape():
+    # 7 evenly spaced probes inside each node interval, since the midpoints
+    # alone read 4.3e-8 here and the dense probe 8.5e-7; 1e-6 is the gate
+    # of the table's rewrite
+    idx, params = SpacingIndex(4, 3), GammaParams(2.5)
+    ymax = 2.0 * float(gamma_quantile(1.0 - 1e-8, params))
+    nodes = ymax * np.linspace(0.0, 1.0, spacings.CDF_NODES) ** 3
+    ys = (nodes[:-1, None] + np.diff(nodes)[:, None] * np.arange(1, 8) / 8).ravel()
+    gap = np.max(np.abs(spacing_law(4, 3, 2.5).cdf(ys) - spacing_cdf_numeric(idx, params, ys)))
+    assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("p, m, limit", [(0.5, 2.5, 0.1084), (0.5, 0.5, 0.2700),
+                                         (0.25, 5.0, 0.1939)])
+def test_numeric_cdf_tends_to_the_large_n_exponential_at_rate_one_over_n(p, m, limit):
+    # (n-j+1) Y_j -> Exp(h(xi_p)) for (j-1)/n = p, with xi_p = Q(p) and
+    # h = f/S the Gamma(m) hazard (Pyke 1965); the gap to
+    # 1 - exp(-(n-j+1) h y) shrinks exactly like C/n, C > 0
+    xi = float(gamma_quantile(p, GammaParams(m)))
+    h = float(gamma_pdf(xi, GammaParams(m))) / (1.0 - float(gamma_cdf(xi, GammaParams(m))))
+    scaled = []
+    for n in (2000, 20000):
+        j = round(p * n) + 1
+        c = n - j + 1
+        ys = np.linspace(0.0, 10.0, 201)[1:] / (c * h)
+        cdf = spacing_cdf_numeric(SpacingIndex(n, j), GammaParams(m), ys)
+        scaled.append(n * np.max(np.abs(cdf + np.expm1(-c * h * ys))))
+    assert scaled[1] == pytest.approx(scaled[0], rel=0.01)
+    assert scaled[0] == pytest.approx(limit, abs=1e-3)
 
 
 @pytest.mark.parametrize("m, bound", [(0.3, 1e-3), (0.5, 1e-5), (2.5, 1e-5)])
