@@ -38,7 +38,8 @@ class KsResult:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Area-normalized histogram: ``sum(densities * widths) == 1``."""
+    """Area-normalized histogram of ``count >= 1`` values:
+    ``sum(densities * widths)`` is 1 within 1e-9, or ``ValueError``."""
 
     bin_edges: np.ndarray
     densities: np.ndarray
@@ -53,9 +54,13 @@ class Histogram:
             raise ValueError("bin_edges must be strictly increasing")
         if np.any(dens < 0):
             raise ValueError("densities must be >= 0")
+        with np.errstate(over="ignore"):  # an area of inf is rejected below
+            area = float(np.sum(dens * np.diff(edges)))
+        if not abs(area - 1.0) <= 1e-9:
+            raise ValueError(f"densities must integrate to 1 within 1e-9, got {area!r}")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "densities", dens)
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _integer("count", self.count, 1))
 
 
 def ks_statistic(sample, cdf) -> float:

@@ -174,3 +174,24 @@ def test_histogram_keeps_its_structure_rules():
         Histogram(bin_edges=[0.0, 0.0], densities=[1.0], count=3)
     with pytest.raises(ValueError, match=">= 0"):
         Histogram(bin_edges=[0.0, 1.0], densities=[-1.0], count=3)
+
+
+@pytest.mark.parametrize("count, error", [
+    (-3, ValueError), (0, ValueError), (2.7, TypeError), (True, TypeError), ("3", TypeError),
+])
+def test_histogram_count_is_an_integer_of_at_least_one(count, error):
+    with pytest.raises(error, match="count must be"):
+        Histogram(bin_edges=[0.0, 1.0], densities=[1.0], count=count)
+    assert Histogram(bin_edges=[0.0, 1.0], densities=[1.0], count=np.int64(3)).count == 3
+
+
+@pytest.mark.parametrize("edges, densities", [
+    ([0.0, 1.0], [5.0]),
+    ([0.0, 1.0], [0.0]),
+    ([0.0, 1.0, 3.0], [0.5, 0.25 + 1e-8]),
+    ([0.0, 1e300, 2e300], [1e300, 1e300]),  # the area overflows to inf
+])
+def test_histogram_area_must_be_one(edges, densities):
+    with pytest.raises(ValueError, match="densities must integrate to 1 within 1e-9"):
+        Histogram(bin_edges=edges, densities=densities, count=3)
+

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +37,16 @@ def test_z_k_full_range_is_exactly_one():
     for n in (2, 3, 7, 20):
         data = rng.gamma(2.0, 1.0, n)
         assert z_k(data, n - 1) == 1.0
+
+
+def test_z_k_never_exceeds_one_at_large_shape():
+    # each numerator term X_(i) - X_(n-k) rounds to at most the matching
+    # denominator term X_(i) - X_(1), and both sums run in index order
+    xs = np.sort(np.random.default_rng(41).gamma(1000.0, size=(1000, 12)), axis=1)
+    for k in range(1, 12):
+        assert REDUCTIONS["zk"](xs, k).max() <= 1.0
+    assert np.all(REDUCTIONS["zk"](xs, 11) == 1.0)
+    assert all(z_k(row, 11) == 1.0 for row in xs[:50])
 
 
 def test_z_k_bounds_and_monotonicity_in_k():
@@ -164,3 +176,54 @@ def test_row_reductions_match_per_sample_statistics():
             assert d == (row[-1] - row[-1 - k]) / (row[-1] - row[0])
     with pytest.raises(DegenerateSampleError):
         REDUCTIONS["zk"](np.array([[1.0, 2.0], [3.0, 3.0]]), 1)
+
+
+def _exact_z_k(row, k):
+    """z_k of the float data ``row`` in exact rational arithmetic."""
+    x = sorted(map(Fraction, row))
+    n = len(x)
+    return sum(x[i] - x[n - 1 - k] for i in range(n - k, n)) / sum(v - x[0] for v in x)
+
+
+@pytest.mark.parametrize("m, n, k", [(1000.0, 10, 1), (1000.0, 10, 3), (1e6, 50, 2)])
+def test_z_k_matches_an_exact_rational_oracle(m, n, k):
+    # at large m the draws sit close together, where a sum of order
+    # statistics minus n X_(1) would cancel (z_k_telescoped loses up to
+    # 3e-14 and 2e-12 relative here); shifted sums keep every term nonnegative
+    rows = np.random.default_rng(29).gamma(m, size=(20, n))
+    engine = REDUCTIONS["zk"](np.sort(rows, axis=1), k)
+    for row, value in zip(rows, engine):
+        exact = _exact_z_k(row, k)
+        assert z_k(row, k) == value
+        assert abs(Fraction(value) - exact) <= 4 * np.finfo(float).eps * exact
+
+
+def test_z_k_rows_do_not_depend_on_the_block():
+    rng = np.random.default_rng(53)
+    for n in (3, 10, 50):
+        xs = np.sort(rng.gamma(2.0, size=(30, n)), axis=1)
+        for k in (1, n // 2, n - 1):
+            whole = REDUCTIONS["zk"](xs, k)
+            sevens = np.concatenate([REDUCTIONS["zk"](xs[i : i + 7], k)
+                                     for i in range(0, len(xs), 7)])
+            single = np.array([REDUCTIONS["zk"](row[np.newaxis], k)[0] for row in xs])
+            assert whole.tobytes() == sevens.tobytes() == single.tobytes()
+
+
+def _zk_weighted_spacings(xs, k):
+    """Reference: z_k as weighted spacings ``(n-j+1) Y_j`` summed by numpy."""
+    n = xs.shape[1]
+    weighted = np.arange(n - 1, 0, -1, dtype=float) * np.diff(xs, axis=1)
+    return weighted[:, n - 1 - k :].sum(axis=1) / weighted.sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [3, 10, 50, 200])
+def test_z_k_agrees_with_the_weighted_spacing_form(n):
+    xs = np.sort(np.random.default_rng(n).gamma(2.0, size=(4096, n)), axis=1)
+    for k in sorted({1, 2, n // 2, n - 2} - {0}):
+        ours, ref = REDUCTIONS["zk"](xs, k), _zk_weighted_spacings(xs, k)
+        # first-order rounding bounds of the two forms, added: sequential
+        # sums of n-1 and k terms and one division, against spacings,
+        # weights and pairwise sums
+        bound = (n + k + 2 * math.log2(n) + 5) * np.finfo(float).eps / 2
+        assert np.all(np.abs(ours - ref) <= bound * ours)
