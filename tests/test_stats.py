@@ -185,29 +185,48 @@ def _exact_z_k(row, k):
     return sum(x[i] - x[n - 1 - k] for i in range(n - k, n)) / sum(v - x[0] for v in x)
 
 
-@pytest.mark.parametrize("m, n, k", [(1000.0, 10, 1), (1000.0, 10, 3), (1e6, 50, 2)])
+@pytest.mark.parametrize("m, n, k", [(1000.0, 10, 1), (1000.0, 10, 3), (1e6, 50, 2),
+                                     (2.0, 200, 1), (2.0, 200, 3)])
 def test_z_k_matches_an_exact_rational_oracle(m, n, k):
     # at large m the draws sit close together, where a sum of order
-    # statistics minus n X_(1) would cancel (z_k_telescoped loses up to
-    # 3e-14 and 2e-12 relative here); shifted sums keep every term nonnegative
+    # statistics minus n X_(1) would cancel (z_k_telescoped loses digits
+    # here); shifted sums keep every term nonnegative.  The rounding errors
+    # of a sequential sum grow like sqrt(n), so the 4 eps that holds up
+    # to n = 50 doubles at n = 200.
     rows = np.random.default_rng(29).gamma(m, size=(20, n))
     engine = REDUCTIONS["zk"](np.sort(rows, axis=1), k)
+    bound = 4 * max(1.0, math.sqrt(n / 50)) * np.finfo(float).eps
     for row, value in zip(rows, engine):
         exact = _exact_z_k(row, k)
         assert z_k(row, k) == value
-        assert abs(Fraction(value) - exact) <= 4 * np.finfo(float).eps * exact
+        assert abs(Fraction(value) - exact) <= bound * exact
+
+
+def _left_to_right(xs, lo):
+    """``sum_{i > lo} (xs[:, i] - xs[:, lo])``, one column at a time."""
+    total = xs[:, lo + 1] - xs[:, lo]
+    for i in range(lo + 2, xs.shape[1]):
+        total = total + (xs[:, i] - xs[:, lo])
+    return total
 
 
 def test_z_k_rows_do_not_depend_on_the_block():
+    # blocks of at most 7 rows are accumulated row by row, larger ones are
+    # reduced in tiles (70 rows at n = 2000 make two); every path must give
+    # the plain left-to-right sums
     rng = np.random.default_rng(53)
-    for n in (3, 10, 50):
-        xs = np.sort(rng.gamma(2.0, size=(30, n)), axis=1)
+    for n, rows in ((3, 30), (10, 30), (50, 30), (2000, 70)):
+        xs = np.sort(rng.gamma(2.0, size=(rows, n)), axis=1)
         for k in (1, n // 2, n - 1):
+            loop = _left_to_right(xs, n - 1 - k) / _left_to_right(xs, 0)
             whole = REDUCTIONS["zk"](xs, k)
             sevens = np.concatenate([REDUCTIONS["zk"](xs[i : i + 7], k)
                                      for i in range(0, len(xs), 7)])
             single = np.array([REDUCTIONS["zk"](row[np.newaxis], k)[0] for row in xs])
-            assert whole.tobytes() == sevens.tobytes() == single.tobytes()
+            assert loop.tobytes() == whole.tobytes() == sevens.tobytes() == single.tobytes()
+            fortran = np.asfortranarray(xs)
+            assert REDUCTIONS["zk"](fortran, k).tobytes() == loop.tobytes()
+            assert np.array_equal(fortran, xs)
 
 
 def _zk_weighted_spacings(xs, k):
